@@ -53,10 +53,6 @@ class Analyzer:
         rule's declared trigger substrings.  Triggers are necessary
         conditions, so output is byte-identical either way; disable
         only to benchmark the unfiltered path.
-    eager_semantics:
-        Build the scope/type/hotness tables up front instead of on
-        first query — the pre-optimization baseline mode the sweep
-        bench compares against.
     """
 
     def __init__(
@@ -66,7 +62,6 @@ class Analyzer:
         honor_suppressions: bool = True,
         registry=None,
         prefilter: bool = True,
-        eager_semantics: bool = False,
     ) -> None:
         registry_fingerprint = ""
         if rules is None:
@@ -79,7 +74,6 @@ class Analyzer:
         self._honor_suppressions = honor_suppressions
         self._registry_fingerprint = registry_fingerprint
         self._prefilter = prefilter
-        self._eager_semantics = eager_semantics
         # Per-rule trigger sets, aligned with self._rules; the mask with
         # every rule active is what a disabled prefilter always returns.
         self._triggers: tuple[tuple[str, ...] | None, ...] = tuple(
@@ -126,9 +120,7 @@ class Analyzer:
         # every semantic layer plus the engine traversal re-reads the
         # same child lists — share them for the duration.
         with memoized_children():
-            semantics = build_semantic_model(
-                tree, filename=filename, eager=self._eager_semantics
-            )
+            semantics = build_semantic_model(tree, filename=filename)
             ctx = AnalysisContext(
                 filename=filename, source=source, tree=tree, semantics=semantics
             )
@@ -199,7 +191,6 @@ class Analyzer:
             honor_suppressions=self._honor_suppressions,
             registry_fingerprint=self._registry_fingerprint,
             prefilter=self._prefilter,
-            eager_semantics=self._eager_semantics,
         )
 
     # -- pre-filter ------------------------------------------------------

@@ -5,12 +5,22 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.sweep import SweepBenchError
+
 # The table/figure modules pull in numpy via the datasets package;
 # import them per-target inside main() so numpy-free targets (sweep,
 # overhead) work on a bare interpreter.
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except SweepBenchError as exc:  # no frozen corpus, or a stale golden
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
@@ -50,8 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--project",
         default=None,
-        help="sweep: project directory to sweep (default: repro's own "
-        "source tree)",
+        help="sweep/semantics: project directory to bench (default: the "
+        "frozen corpus, src/repro at the pinned commit)",
     )
     parser.add_argument(
         "--output",
@@ -62,8 +72,9 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="sweep: exit 1 unless parallel/cached output is identical "
-        "to the reference serial baseline AND the cold parallel sweep "
-        "beats it by the gated speedup; overhead: exit 1 unless the new "
+        "to the current serial sweep, the frozen corpus matches its "
+        "golden findings, AND the cold parallel sweep clears the "
+        "speedup floor for the jobs used; overhead: exit 1 unless the new "
         "runtime's per-call overhead is within the legacy tracer's; "
         "semantics: exit 1 unless the flow-fact layer stays within its "
         "ms-per-KLoC budget (CI smoke assertions)",

@@ -4,7 +4,8 @@ The flow-sensitive layer (CFGs, reaching definitions, type states,
 liveness, the purity call graph) runs on every analyzed file, so its
 cost is paid by ``pepo suggest``/``check``/``optimize`` sweeps and by
 the editor-style watch loop.  This bench measures that cost directly:
-for each file in a corpus (default: pepo's own source tree) it times
+for each file in a corpus (default: the frozen corpus the sweep bench
+uses, :func:`repro.bench.sweep.frozen_corpus`) it times
 
 * ``parse`` — ``ast.parse`` alone (the floor any analysis pays), and
 * ``facts`` — ``build_semantic_model(tree).materialize()``, which
@@ -14,15 +15,13 @@ for each file in a corpus (default: pepo's own source tree) it times
 best-of-``repeats``, and normalizes to **milliseconds per KLoC**
 (thousand non-blank, non-comment lines — the same LOC convention as
 Table II).  Normalizing by corpus size makes the figure comparable
-across machines and across corpus choices.
+across corpus choices; the frozen default keeps it comparable across
+commits.
 
-Budget: ``BUDGET_MS_PER_KLOC`` (default 900 ms/KLoC) is the gate for
-``--check``.  The fact layer runs at roughly 150–300 ms/KLoC on a
-2020s-era laptop core; the budget leaves ~3× headroom for loaded CI
-runners while still catching an accidental quadratic blow-up (a naive
-all-pairs dataflow would land one to two orders of magnitude above
-it).  ``--quick`` caps the corpus at :data:`QUICK_FILE_CAP` files and
-uses fewer repeats — the CI smoke configuration.
+Budget: :data:`BUDGET_MS_PER_KLOC` is the gate for ``--check``, set at
+about 1.5× the measured median, so a real regression fails it.
+``--quick`` caps the corpus at :data:`QUICK_FILE_CAP` files and uses
+fewer repeats — the CI smoke configuration.
 
 Results go to ``BENCH_semantics.json`` so the perf claim is measured,
 not asserted.
@@ -37,14 +36,24 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench.sweep import FROZEN_CORPUS, bench_project
 from repro.views.tables import render_table
 
 #: Default output path, relative to the working directory.
 DEFAULT_OUTPUT = Path("BENCH_semantics.json")
 
 #: ``--check`` fails when materializing every flow fact costs more
-#: than this many milliseconds per thousand lines of code.
-BUDGET_MS_PER_KLOC = 900.0
+#: than this many milliseconds per thousand lines of code: about 1.5x
+#: the median of 16 ``--quick`` runs on the frozen corpus (57-89
+#: ms/KLoC, median 78.5, on a shared 2-CPU container with CPython
+#: 3.11.7).  ``--quick`` keeps the densest files, so it is the harder
+#: configuration: 12 full runs measured 54.5-80.6 (median 62.9).
+BUDGET_MS_PER_KLOC = 120.0
+
+#: The gate charges a corpus for at least this many lines: below it,
+#: fixed per-module setup dominates and ms/KLoC measures overhead, not
+#: throughput (a 15-line project runs at ~120 ms/KLoC).
+MIN_GATED_LOC = 1000
 
 #: ``--quick`` analyzes at most this many files (largest first, so the
 #: smoke run still covers the most structurally demanding modules).
@@ -73,6 +82,7 @@ class SemanticsBenchResult:
     #: semantic model over the corpus (parse excluded).
     facts_ms: float
     budget_ms_per_kloc: float = BUDGET_MS_PER_KLOC
+    cpus: int = 1
 
     @property
     def kloc(self) -> float:
@@ -86,12 +96,14 @@ class SemanticsBenchResult:
         return self.parse_ms / self.kloc if self.loc else 0.0
 
     def meets_target(self) -> bool:
-        return self.facts_ms_per_kloc() <= self.budget_ms_per_kloc
+        gated_kloc = max(self.loc, MIN_GATED_LOC) / 1000.0
+        return self.facts_ms <= self.budget_ms_per_kloc * gated_kloc
 
     def to_dict(self) -> dict:
         return {
             "bench": "semantics",
             "python": self.python,
+            "cpus": self.cpus,
             "corpus": self.corpus,
             "files": self.files,
             "loc": self.loc,
@@ -131,28 +143,27 @@ def run_semantics_bench(
     quick: bool = False,
     repeats: int | None = None,
 ) -> SemanticsBenchResult:
-    """Time the fact layer over ``project_dir`` (default: pepo's own
-    ``src/repro`` tree — the same self-hosted corpus the sweep bench
-    uses)."""
+    """Time the fact layer over ``project_dir`` (default: the frozen
+    corpus — the same one the sweep bench uses)."""
     from repro.metrics.loc import count_loc
     from repro.semantics import build_semantic_model
+    from repro.sweep import available_cpus
 
-    if project_dir is None:
-        project_dir = Path(__file__).resolve().parents[1]
     if repeats is None:
         repeats = 2 if quick else 5
-    files = corpus_files(project_dir, cap=QUICK_FILE_CAP if quick else None)
 
     sources: list[tuple[str, str]] = []
     loc = 0
-    for path in files:
-        try:
-            text = path.read_text(encoding="utf-8")
-            ast.parse(text, filename=str(path))
-        except (SyntaxError, UnicodeDecodeError, OSError):
-            continue
-        sources.append((str(path), text))
-        loc += count_loc(text)
+    with bench_project(project_dir) as root:
+        files = corpus_files(root, cap=QUICK_FILE_CAP if quick else None)
+        for path in files:
+            try:
+                text = path.read_text(encoding="utf-8")
+                ast.parse(text, filename=str(path))
+            except (SyntaxError, UnicodeDecodeError, OSError):
+                continue
+            sources.append((str(path), text))
+            loc += count_loc(text)
 
     best_parse = float("inf")
     best_facts = float("inf")
@@ -174,7 +185,8 @@ def run_semantics_bench(
 
     return SemanticsBenchResult(
         python=platform.python_version(),
-        corpus=str(project_dir),
+        cpus=available_cpus(),
+        corpus=FROZEN_CORPUS if project_dir is None else str(project_dir),
         files=len(sources),
         loc=loc,
         functions=functions,
@@ -201,9 +213,12 @@ def render_semantics_bench(result: SemanticsBenchResult) -> str:
         f"{result.functions} function(s), best of {result.repeats}",
         right_align=(1, 2, 3),
     )
+    floor = (
+        f" (charged as {MIN_GATED_LOC} LoC)" if result.loc < MIN_GATED_LOC else ""
+    )
     verdict = (
         f"flow facts within budget: {result.facts_ms_per_kloc():.1f} "
-        f"<= {result.budget_ms_per_kloc:.0f} ms/KLoC"
+        f"<= {result.budget_ms_per_kloc:.0f} ms/KLoC{floor}"
         if result.meets_target()
         else f"SEMANTICS REGRESSION: {result.facts_ms_per_kloc():.1f} "
         f"ms/KLoC exceeds the {result.budget_ms_per_kloc:.0f} ms/KLoC "

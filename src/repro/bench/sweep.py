@@ -1,43 +1,38 @@
-"""``pepo bench sweep`` — measure the project-sweep engine on this repo.
+"""``pepo bench sweep`` — measure the project-sweep engine on a frozen corpus.
 
-Four configurations of the analyzer sweep over ``src/repro`` (or any
-project directory):
+Four configurations of today's analyzer sweep over one project:
 
-* ``serial_cold``    — one process, no cache, running
-  :class:`repro.unopt.analyzer.ReferenceAnalyzer`: the pre-overhaul
-  pipeline (eager semantic models, recursive walk, no pre-filter),
-  vendored so in-place optimizations to the live engine cannot
-  silently speed the baseline too;
-* ``parallel_cold``  — ``--jobs N`` worker processes, no cache, with
-  the full cold-sweep hot path (trigger pre-filter, lazy semantic
-  layers, fused traversal, chunked dispatch, compact wire format);
-* ``cache_cold``     — serial with a fresh cache (analysis + hashing +
-  cache writes: the first sweep of an edit loop);
-* ``cache_warm``     — serial against the populated cache (the steady
-  state: every file a content-hash hit).
+* ``serial_cold``    — one process, no cache: the baseline;
+* ``parallel_cold``  — ``--jobs N`` worker processes, no cache;
+* ``cache_cold``     — serial with a fresh cache (the first sweep of an
+  edit loop: analysis + hashing + cache writes);
+* ``cache_warm``     — serial against the populated cache.
 
-``--jobs`` is capped at the usable CPU count
-(:func:`repro.sweep.clamp_jobs`): extra workers on a small box measure
-process churn, not the engine.
-
-Results go to ``BENCH_sweep.json`` so the perf trajectory is measured,
-not asserted.  Every optimized configuration is also checked for
-byte-identical findings against the reference analyzer — each bench
-run doubles as a differential test of the whole optimized pipeline, so
-a pre-filter/laziness/merge soundness regression fails the bench
-before any timing is reported.  ``--check`` additionally gates
-``parallel_cold`` at :data:`MIN_PARALLEL_SPEEDUP` over the baseline;
-``--profile`` writes a per-stage cProfile report to
-``BENCH_sweep_profile.txt``.
+The default project is the frozen corpus (:func:`frozen_corpus`):
+``src/repro`` at :data:`PINNED_COMMIT`, so numbers compare across
+commits.  Before any timing counts, every configuration's findings must
+be byte-identical to ``serial_cold``'s, and on the frozen corpus
+``serial_cold`` must match the golden file (:data:`GOLDEN_PATH`).
+``--check`` also gates ``parallel_cold`` at :func:`min_parallel_speedup`
+for the jobs actually used after :func:`repro.sweep.clamp_jobs`.
+Results go to ``BENCH_sweep.json``; ``--profile`` writes a per-stage
+cProfile report to ``BENCH_sweep_profile.txt``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import platform
+import subprocess
+import tarfile
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from repro.views.tables import render_table
 
@@ -47,23 +42,83 @@ DEFAULT_OUTPUT = Path("BENCH_sweep.json")
 #: Default ``--profile`` artifact path.
 PROFILE_OUTPUT = Path("BENCH_sweep_profile.txt")
 
-#: ``--check`` floor: a cold parallel sweep must beat the reference
-#: serial baseline by at least this factor.
-MIN_PARALLEL_SPEEDUP = 2.0
+#: The commit whose :data:`CORPUS_PATH` tree is the frozen bench corpus.
+PINNED_COMMIT = "19cc26581acf6226726b7b741855f57bd90cc045"
+
+#: Repository path of the frozen corpus at :data:`PINNED_COMMIT`.
+CORPUS_PATH = "src/repro"
+
+#: How bench results name the frozen corpus.
+FROZEN_CORPUS = f"{CORPUS_PATH}@{PINNED_COMMIT[:7]}"
+
+#: Golden findings of the frozen corpus: a header of the versions they
+#: were recorded under plus a sha256 of every finding's ``to_dict()``,
+#: and per-file ``[line, col, rule_id]`` entries.
+GOLDEN_PATH = Path(__file__).with_name("sweep_golden.json")
+
+#: Largest serial fraction of a cold sweep the ``--check`` floor
+#: tolerates (Amdahl's law; see :func:`min_parallel_speedup`): 1.25x at
+#: 2 jobs.  34 ``--jobs 2`` runs on a shared 2-CPU container measured
+#: 1.42x-1.98x; 18 runs with ``parallel_cold`` forced serial measured
+#: 0.91x-1.20x, so a parallel path that silently runs serially fails.
+MAX_SERIAL_FRACTION = 0.6
 
 
-def default_project_dir() -> Path:
-    """This repo's own source tree: the installed ``repro`` package."""
-    import repro
-
-    return Path(repro.__file__).resolve().parent
+class SweepBenchError(RuntimeError):
+    """The bench cannot run: no frozen corpus, or a stale golden file."""
 
 
-def _baseline_analyzer():
-    """The vendored pre-overhaul pipeline (see :mod:`repro.unopt`)."""
-    from repro.unopt.analyzer import ReferenceAnalyzer
+def min_parallel_speedup(jobs: int) -> float | None:
+    """``--check`` floor for ``parallel_cold`` over ``serial_cold`` at
+    ``jobs`` workers; ``None`` at one job, where nothing scales."""
+    if jobs <= 1:
+        return None
+    return 1.0 / (MAX_SERIAL_FRACTION + (1.0 - MAX_SERIAL_FRACTION) / jobs)
 
-    return ReferenceAnalyzer()
+
+@contextmanager
+def frozen_corpus() -> Iterator[Path]:
+    """Extract :data:`CORPUS_PATH` at :data:`PINNED_COMMIT` with
+    ``git archive`` into a temporary directory, removed on exit.
+
+    Needs ``git`` and a clone holding the pinned commit (in CI:
+    ``fetch-depth: 0``).
+    """
+
+    def git(cwd: str | Path, *args: str) -> bytes:
+        return subprocess.run(
+            ["git", "-C", str(cwd), *args], capture_output=True, check=True
+        ).stdout
+
+    try:
+        # ``git archive`` resolves paths from the working directory, so
+        # it runs from the top of the clone.
+        top = git(Path(__file__).parent, "rev-parse", "--show-toplevel")
+        tar = git(top.decode().strip(), "archive", f"{PINNED_COMMIT}:{CORPUS_PATH}")
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or str(exc).encode()
+        raise SweepBenchError(
+            f"cannot extract the frozen bench corpus ({FROZEN_CORPUS}): "
+            f"{detail.decode('utf-8', 'replace').strip()}. Run from a full "
+            "git clone, or pass --project DIR to bench another tree."
+        ) from exc
+    with tempfile.TemporaryDirectory(prefix="pepo-bench-corpus-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            if hasattr(tarfile, "data_filter"):
+                archive.extractall(tmp, filter="data")
+            else:  # pragma: no cover - Python without PEP 706 filters
+                archive.extractall(tmp)
+        yield Path(tmp)
+
+
+@contextmanager
+def bench_project(project_dir: str | Path | None) -> Iterator[Path]:
+    """``project_dir`` as given, or the frozen corpus when ``None``."""
+    if project_dir is not None:
+        yield Path(project_dir)
+    else:
+        with frozen_corpus() as corpus:
+            yield corpus
 
 
 def _optimized_analyzer():
@@ -71,6 +126,108 @@ def _optimized_analyzer():
     from repro.analyzer import Analyzer
 
     return Analyzer()
+
+
+# -- golden findings ----------------------------------------------------
+
+
+def canonical_findings(results: dict, root: str | Path) -> list[str]:
+    """One sorted-key JSON line per finding, in relative-path order,
+    with ``file`` made relative to ``root``."""
+    relative = {name: Path(name).relative_to(root).as_posix() for name in results}
+    return [
+        json.dumps({**finding.to_dict(), "file": relative[name]}, sort_keys=True)
+        for name in sorted(results, key=relative.__getitem__)
+        for finding in results[name]
+    ]
+
+
+def _version_header() -> dict:
+    from repro.rules import REGISTRY
+    from repro.semantics import SEMANTICS_VERSION
+
+    return {
+        "pinned_commit": PINNED_COMMIT,
+        "semantics_version": SEMANTICS_VERSION,
+        "registry_fingerprint": REGISTRY.fingerprint(),
+    }
+
+
+def build_golden(results: dict, root: str | Path) -> dict:
+    """The golden record of one sweep's findings (see :data:`GOLDEN_PATH`)."""
+    by_file = {
+        Path(name).relative_to(root).as_posix(): sorted(
+            [f.line, f.col, f.rule_id] for f in findings
+        )
+        for name, findings in results.items()
+    }
+    stream = "\n".join(canonical_findings(results, root)).encode("utf-8")
+    return {
+        **_version_header(),
+        "files": len(by_file),
+        "findings": sum(map(len, by_file.values())),
+        "findings_sha256": hashlib.sha256(stream).hexdigest(),
+        "by_file": dict(sorted(by_file.items())),
+    }
+
+
+def load_golden(path: str | Path) -> dict:
+    """Read a golden file; raise when its versions are not the live ones."""
+    golden = json.loads(Path(path).read_text(encoding="utf-8"))
+    live = _version_header()
+    stale = [key for key in live if golden.get(key) != live[key]]
+    if stale:
+        raise SweepBenchError(
+            f"golden is stale, regenerate: {path} was recorded under another "
+            f"{', '.join(stale)}; rewrite it with "
+            "repro.bench.sweep.write_sweep_golden() and review the diff"
+        )
+    return golden
+
+
+def golden_drift(golden: dict, results: dict, root: str | Path) -> list[str]:
+    """How a sweep's findings differ from ``golden``; empty when equal."""
+    live = build_golden(results, root)
+    want, got = golden["by_file"], live["by_file"]
+    drift = [
+        f"{path}: golden {want.get(path)}, now {got.get(path)}"
+        for path in sorted(want.keys() | got.keys())
+        if want.get(path) != got.get(path)
+    ]
+    if not drift and golden["findings_sha256"] != live["findings_sha256"]:
+        drift.append(
+            "findings_sha256: same locations, but a message, suggestion, "
+            "severity or score changed"
+        )
+    return drift
+
+
+def write_sweep_golden() -> Path:
+    """Regenerate :data:`GOLDEN_PATH` from a serial sweep of the frozen
+    corpus, in the change that bumps ``SEMANTICS_VERSION`` or a rule's
+    ``version`` (the bench refuses a stale golden)::
+
+        PYTHONPATH=src python -c \\
+            "from repro.bench.sweep import write_sweep_golden; write_sweep_golden()"
+
+    One line per file, so a drift diffs as the lines of the files it hit.
+    """
+    with frozen_corpus() as corpus:
+        golden = build_golden(_optimized_analyzer().analyze_project(corpus), corpus)
+    by_file = golden.pop("by_file")
+    header = [f"  {json.dumps(key)}: {json.dumps(value)}," for key, value in golden.items()]
+    rows = [
+        f"    {json.dumps(path)}: {json.dumps(entries, separators=(',', ':'))}"
+        for path, entries in by_file.items()
+    ]
+    GOLDEN_PATH.write_text(
+        "{\n%s\n  \"by_file\": {\n%s\n  }\n}\n" % ("\n".join(header), ",\n".join(rows)),
+        encoding="utf-8",
+    )
+    return GOLDEN_PATH
+
+
+# -- the bench ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -83,6 +240,10 @@ class SweepBenchResult:
     jobs: int
     timings: dict[str, float]
     deterministic: bool
+    #: Differences from the golden file; ``None`` off the frozen corpus.
+    golden_drift: list[str] | None = None
+    cpus: int = 1
+    python: str = ""
 
     def speedups(self) -> dict[str, float]:
         """Each configuration's speedup over the cold serial sweep."""
@@ -94,19 +255,23 @@ class SweepBenchResult:
         }
 
     def meets_target(self) -> bool:
-        """The ``--check`` gate: identical findings everywhere, and the
-        cold parallel sweep at least :data:`MIN_PARALLEL_SPEEDUP` times
-        faster than the reference serial baseline."""
+        """The ``--check`` gate: identical findings everywhere, no golden
+        drift, and ``parallel_cold`` at or above the floor for the jobs
+        actually used."""
+        floor = min_parallel_speedup(self.jobs)
         return (
             self.deterministic
-            and self.speedups().get("parallel_cold", 0.0)
-            >= MIN_PARALLEL_SPEEDUP
+            and not self.golden_drift
+            and (floor is None or self.speedups()["parallel_cold"] >= floor)
         )
 
     def to_dict(self) -> dict:
+        floor = min_parallel_speedup(self.jobs)
         return {
             "bench": "sweep",
             "project": self.project,
+            "python": self.python,
+            "cpus": self.cpus,
             "files": self.files,
             "findings": self.findings,
             "jobs": self.jobs,
@@ -114,18 +279,11 @@ class SweepBenchResult:
             "speedups_vs_serial_cold": {
                 k: round(v, 2) for k, v in self.speedups().items()
             },
-            "min_parallel_speedup": MIN_PARALLEL_SPEEDUP,
+            "min_parallel_speedup": floor and round(floor, 3),
             "deterministic": self.deterministic,
+            "golden_drift": self.golden_drift,
             "meets_target": self.meets_target(),
         }
-
-
-def _timed_analyze(
-    project: Path, make_analyzer=_optimized_analyzer, **kwargs
-) -> tuple[float, dict]:
-    start = time.perf_counter()
-    results = make_analyzer().analyze_project(project, **kwargs)
-    return time.perf_counter() - start, results
 
 
 def run_sweep_bench(
@@ -133,59 +291,53 @@ def run_sweep_bench(
     jobs: int = 2,
     repeats: int = 3,
 ) -> SweepBenchResult:
-    """Run all four sweep configurations; best-of-``repeats`` timings.
+    """Run all four sweep configurations; best-of-``repeats`` timings
+    (``cache_cold`` runs once: a second run would be warm).
 
-    ``jobs`` is capped at the usable CPU count; the recorded ``jobs``
-    field is the count actually used.
+    ``project_dir`` defaults to the frozen corpus, whose serial findings
+    are checked against :data:`GOLDEN_PATH`.  ``jobs`` is capped at the
+    usable CPU count; the recorded ``jobs`` field is the count used.
     """
-    from repro.sweep import clamp_jobs
+    from repro.sweep import available_cpus, clamp_jobs
 
-    project = Path(project_dir) if project_dir else default_project_dir()
+    golden = load_golden(GOLDEN_PATH) if project_dir is None else None
     jobs = clamp_jobs(jobs)
-
     timings: dict[str, float] = {}
 
-    def best(name: str, run) -> dict:
-        results = {}
-        timings[name] = min_elapsed = float("inf")
-        for _ in range(max(1, repeats)):
-            elapsed, results = run()
-            min_elapsed = min(min_elapsed, elapsed)
-        timings[name] = min_elapsed
+    def timed(name: str, **kwargs) -> dict:
+        start = time.perf_counter()
+        results = _optimized_analyzer().analyze_project(project, **kwargs)
+        elapsed = time.perf_counter() - start
+        timings[name] = min(timings.get(name, elapsed), elapsed)
         return results
 
-    serial = best(
-        "serial_cold",
-        lambda: _timed_analyze(project, make_analyzer=_baseline_analyzer),
-    )
-    parallel = best(
-        "parallel_cold", lambda: _timed_analyze(project, jobs=jobs)
-    )
-    # Equality against the vendored reference pipeline proves parallel
-    # merge determinism AND end-to-end soundness of every hot-path
-    # optimization (pre-filter, lazy layers, fused walk, wire format)
-    # on a real corpus, every bench run.
-    deterministic = serial == parallel
-
-    with tempfile.TemporaryDirectory(prefix="pepo-bench-cache-") as cache_dir:
-        cold_elapsed, cached = _timed_analyze(
-            project, cache=True, cache_dir=cache_dir
+    with bench_project(project_dir) as project:
+        for _ in range(max(1, repeats)):
+            # Interleaved, so load drift on a shared machine hits the
+            # serial baseline and the parallel sweep alike.
+            serial = timed("serial_cold")
+            parallel = timed("parallel_cold", jobs=jobs)
+        with tempfile.TemporaryDirectory(prefix="pepo-bench-cache-") as cache:
+            cached = timed("cache_cold", cache=True, cache_dir=cache)
+            for _ in range(max(1, repeats)):
+                warm = timed("cache_warm", cache=True, cache_dir=cache)
+        reference = canonical_findings(serial, project)
+        deterministic = all(
+            canonical_findings(results, project) == reference
+            for results in (parallel, cached, warm)
         )
-        timings["cache_cold"] = cold_elapsed
-        deterministic = deterministic and cached == serial
-        warm = best(
-            "cache_warm",
-            lambda: _timed_analyze(project, cache=True, cache_dir=cache_dir),
-        )
-        deterministic = deterministic and warm == serial
+        drift = golden and golden_drift(golden, serial, project)
 
     return SweepBenchResult(
-        project=str(project),
+        project=FROZEN_CORPUS if project_dir is None else str(project_dir),
         files=len(serial),
-        findings=sum(len(v) for v in serial.values()),
+        findings=len(reference),
         jobs=jobs,
         timings=timings,
         deterministic=deterministic,
+        golden_drift=drift,
+        cpus=available_cpus(),
+        python=platform.python_version(),
     )
 
 
@@ -203,12 +355,10 @@ def profile_sweep_bench(
     :data:`PROFILE_OUTPUT` and what CI uploads as an artifact.
     """
     import cProfile
-    import io
     import pstats
 
     from repro.sweep import clamp_jobs
 
-    project = Path(project_dir) if project_dir else default_project_dir()
     jobs = clamp_jobs(jobs)
     sections: list[str] = []
 
@@ -224,24 +374,25 @@ def profile_sweep_bench(
         stats.sort_stats("cumulative").print_stats(top)
         sections.append(f"===== {stage} =====\n{buffer.getvalue().rstrip()}")
 
-    profiled(
-        "serial_cold",
-        lambda: _baseline_analyzer().analyze_project(project),
-    )
-    profiled(
-        "parallel_cold (parent process)",
-        lambda: _optimized_analyzer().analyze_project(project, jobs=jobs),
-    )
-    with tempfile.TemporaryDirectory(prefix="pepo-bench-cache-") as cache_dir:
-        _optimized_analyzer().analyze_project(
-            project, cache=True, cache_dir=cache_dir
+    with bench_project(project_dir) as project:
+        profiled(
+            "serial_cold",
+            lambda: _optimized_analyzer().analyze_project(project),
         )
         profiled(
-            "cache_warm",
-            lambda: _optimized_analyzer().analyze_project(
-                project, cache=True, cache_dir=cache_dir
-            ),
+            "parallel_cold (parent process)",
+            lambda: _optimized_analyzer().analyze_project(project, jobs=jobs),
         )
+        with tempfile.TemporaryDirectory(prefix="pepo-bench-cache-") as cache:
+            _optimized_analyzer().analyze_project(
+                project, cache=True, cache_dir=cache
+            )
+            profiled(
+                "cache_warm",
+                lambda: _optimized_analyzer().analyze_project(
+                    project, cache=True, cache_dir=cache
+                ),
+            )
     return "\n\n".join(sections) + "\n"
 
 
@@ -263,22 +414,29 @@ def render_sweep_bench(result: SweepBenchResult) -> str:
     table = render_table(
         ("Configuration", "Time (ms)", "Speedup"),
         rows,
-        title=f"Sweep bench — {result.files} files, "
-        f"{result.findings} findings ({result.project})",
+        title=f"Sweep bench — {result.files} files, {result.findings} "
+        f"findings ({result.project}), {result.jobs} job(s) on "
+        f"{result.cpus} CPU(s), Python {result.python}",
         right_align=(1, 2),
     )
-    determinism = (
-        "parallel + cached + pre-filtered output identical to the "
-        "reference serial baseline"
+    lines = [
+        "parallel + cached output identical to serial_cold (current engine)"
         if result.deterministic
         else "DETERMINISM VIOLATION: parallel/cached output differs from serial"
+    ]
+    if result.golden_drift:
+        lines.append("FINDINGS DRIFTED WITHOUT A VERSION BUMP (golden vs now):")
+        lines.extend(f"  {item}" for item in result.golden_drift[:20])
+    elif result.golden_drift is not None:
+        lines.append(f"serial_cold matches the golden findings ({result.findings})")
+    floor = min_parallel_speedup(result.jobs)
+    lines.append(
+        "no parallel scaling gate at 1 job"
+        if floor is None
+        else f"parallel_cold speedup {speedups['parallel_cold']:.2f}x over "
+        f"current serial (gate: >= {floor:.2f}x at {result.jobs} jobs)"
     )
-    gate = (
-        f"parallel_cold speedup {speedups['parallel_cold']:.2f}x "
-        f"(gate: >= {MIN_PARALLEL_SPEEDUP:.1f}x over the reference "
-        "baseline)"
-    )
-    return f"{table}\n{determinism}\n{gate}"
+    return "\n".join([table, *lines])
 
 
 def write_sweep_bench(

@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="sweep: exit 1 unless parallel/cached output matches the "
-        "reference serial baseline and clears the speedup gate; "
+        "current serial sweep, the frozen corpus matches its golden "
+        "findings, and parallel clears the speedup floor; "
         "overhead: exit 1 unless the new runtime beats the legacy tracer; "
         "chaos: exit 1 unless every fault-tolerance criterion holds; "
         "semantics: exit 1 unless the flow-fact layer stays within its "

@@ -28,8 +28,8 @@ context:
   hotness interprocedurally so helpers called from hot loops rank as
   hot (:mod:`repro.semantics.purity`).
 
-The scope/type/hotness tables are eager; CFG + dataflow units and the
-purity pass materialize lazily on first query.
+Every layer — scopes, types, hotness, CFG + dataflow units and the
+purity pass — materializes lazily on first query.
 
 ``SEMANTICS_VERSION`` is folded into the sweep-cache fingerprint so
 cached results produced without (or by an older) semantic layer are

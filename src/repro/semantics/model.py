@@ -99,18 +99,10 @@ class SemanticModel:
     ``type_at``/``defs_reaching`` query against that function, and the
     purity/call-graph pass on the first ``is_pure``/``call_hotness``
     query — so files whose rules are all pre-filtered away (or whose
-    findings never need flow facts) pay only ``ast.parse``.  Pass
-    ``eager=True`` to force the scope/type/hotness tables up front —
-    the pre-optimization baseline the sweep bench compares against.
+    findings never need flow facts) pay only ``ast.parse``.
     """
 
-    def __init__(
-        self,
-        tree: ast.Module,
-        filename: str = "<string>",
-        *,
-        eager: bool = False,
-    ) -> None:
+    def __init__(self, tree: ast.Module, filename: str = "<string>") -> None:
         self.tree = tree
         self.filename = filename
         self._scopes: ScopeTable | None = None
@@ -120,10 +112,6 @@ class SemanticModel:
         self._purity: PurityCallGraph | None = None
         self._bindings: dict[int, Binding] = {}
         self._captured: dict[int, frozenset[str]] | None = None
-        if eager:
-            self._scopes = build_scope_table(tree)
-            self._types = TypeTable(self._scopes)
-            self._depths = compute_hotness(tree)
 
     # -- lazy layers ------------------------------------------------------
 
@@ -434,12 +422,8 @@ class SemanticModel:
 
 
 def build_semantic_model(
-    tree: ast.Module, filename: str = "<string>", *, eager: bool = False
+    tree: ast.Module, filename: str = "<string>"
 ) -> SemanticModel:
-    """Compute the semantic model for one parsed module.
-
-    ``eager=True`` forces the scope/type/hotness tables immediately
-    (the pre-optimization baseline); the default defers every layer to
-    its first query.
-    """
-    return SemanticModel(tree, filename=filename, eager=eager)
+    """The semantic model for one parsed module; every layer is built
+    on its first query."""
+    return SemanticModel(tree, filename=filename)

@@ -177,12 +177,11 @@ class AnalyzeJob(SweepJob):
     rule_classes: tuple[type, ...]
     honor_suppressions: bool = True
     registry_fingerprint: str = ""
-    #: Forwarded to :class:`~repro.analyzer.engine.Analyzer`.  Both are
+    #: Forwarded to :class:`~repro.analyzer.engine.Analyzer`.  It is
     #: fingerprinted: the pre-filter is designed to be output-invisible
-    #: but a cache must not assume the design holds — flipping either
-    #: flag recomputes rather than replaying the other mode's entries.
+    #: but a cache must not assume the design holds — flipping the flag
+    #: recomputes rather than replaying the other mode's entries.
     prefilter: bool = True
-    eager_semantics: bool = False
 
     kind = "analyze"
 
@@ -196,7 +195,6 @@ class AnalyzeJob(SweepJob):
                 tuple(_class_token(cls) for cls in self.rule_classes),
                 self.honor_suppressions,
                 self.prefilter,
-                self.eager_semantics,
             )
         )
 
@@ -207,7 +205,6 @@ class AnalyzeJob(SweepJob):
             rules=self.rule_classes,
             honor_suppressions=self.honor_suppressions,
             prefilter=self.prefilter,
-            eager_semantics=self.eager_semantics,
         )
 
     def run(self, processor, path: str, source: str) -> dict:

@@ -20,19 +20,11 @@ the suggestions cannot touch (→ near-zero win), matching the paper.
 paper's refactor narrowed ``double→float``/``long→int``, which cost
 Random Tree 0.48 % accuracy; :class:`Float32Narrowed` applies the same
 narrowing to our optimized models.
-
-The same before/after discipline covers the analyzer itself:
-:class:`repro.unopt.analyzer.ReferenceAnalyzer` preserves the
-pre-overhaul cold-sweep pipeline (eager semantics, recursive walk, no
-pre-filter) as the measured ``serial_cold`` baseline of
-``pepo bench sweep`` — and, because the bench asserts byte-identical
-findings, as a differential-testing reference for the optimized engine.
 """
 
 __all__ = [
     "Float32Narrowed",
     "NARROWED_CLASSIFIERS",
-    "ReferenceAnalyzer",
     "UNOPT_REGISTRY",
     "make_optimized",
 ]
@@ -46,13 +38,8 @@ _CLASSIFIER_EXPORTS = {
 
 
 def __getattr__(name: str):
-    # Lazy exports: the classifier baselines need numpy, while the
-    # pre-engine analyzer baseline (ReferenceAnalyzer, used by
-    # ``pepo bench sweep``) must import on a bare interpreter.
-    if name == "ReferenceAnalyzer":
-        from repro.unopt.analyzer import ReferenceAnalyzer
-
-        return ReferenceAnalyzer
+    # Lazy exports: the classifier baselines need numpy, which
+    # ``import repro.unopt`` alone must not.
     module = _CLASSIFIER_EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

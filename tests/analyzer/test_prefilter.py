@@ -10,14 +10,17 @@ repo sources, and directed edge cases (trigger-free files, broken
 files, suppression comments).
 """
 
+import ast
 import json
+import keyword
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analyzer import Analyzer
+from repro.rules import REGISTRY
 
 #: Snippets that trip different rules via different trigger substrings,
 #: so generated programs exercise many distinct pre-filter masks.
@@ -49,6 +52,66 @@ def mixed_program(draw):
     return "\n".join(parts)
 
 
+#: Identifier triggers of every rule (``Decimal``, ``float64``, ``find``,
+#: ``append``, ``KeyError``, ...) become callees and methods; keyword and
+#: operator triggers (``for``, ``else``, ``%``, ``+=``, ``0``, ...) come
+#: from the statement templates of :func:`trigger_soup`.
+_WORDS = sorted(
+    {
+        trigger
+        for rule in REGISTRY.detector_classes(extended=True)
+        for trigger in (getattr(rule, "triggers", None) or ())
+        if trigger.isidentifier() and not keyword.iskeyword(trigger)
+    }
+)
+_NAMES = st.sampled_from(("acc", "xs", "i", "n", "text"))
+_EXPR = st.recursive(
+    _NAMES | st.sampled_from(("0", "8", "0.5", "1e-06", "''", "[]")),
+    lambda e: st.one_of(
+        st.builds("({} {} {})".format, e, st.sampled_from("+-*%<"), e),
+        st.builds("({} if {} else {})".format, e, e, e),
+        st.builds("{}({})".format, st.sampled_from(_WORDS), e),
+        st.builds("({}).{}({})".format, e, st.sampled_from(_WORDS), e),
+        st.builds("{}[{}]".format, e, e),
+    ),
+    max_leaves=5,
+)
+
+
+def _compound(statement):
+    body = st.lists(statement, min_size=1, max_size=3).map(
+        lambda lines: "\n".join(
+            "    " + line for text in lines for line in text.splitlines()
+        )
+    )
+    errors = st.sampled_from([w for w in _WORDS if w.endswith("Error")])
+    return st.one_of(
+        st.builds("for {} in {}:\n{}".format, _NAMES, _EXPR, body),
+        st.builds("for {} in range(len({})):\n{}".format, _NAMES, _NAMES, body),
+        st.builds("while {}:\n{}".format, _EXPR, body),
+        st.builds("if {}:\n{}\nelse:\n{}".format, _EXPR, body, body),
+        st.builds("try:\n{}\nexcept {}:\n{}".format, body, errors, body),
+        st.builds("def fn(xs, n):\n{}\n    return {}".format, body, _NAMES),
+    )
+
+
+def trigger_soup():
+    """Random modules built only from parseable statement templates
+    seeded with every rule's triggers, normalized by ``ast.unparse``."""
+    statement = st.recursive(
+        st.one_of(
+            st.builds("{} = {}".format, _NAMES, _EXPR),
+            st.builds("{} {} {}".format, _NAMES, st.sampled_from(("+=", "%=")), _EXPR),
+            st.builds("{}.append({})".format, _NAMES, _EXPR),
+        ),
+        _compound,
+        max_leaves=8,
+    )
+    return st.lists(statement, min_size=1, max_size=4).map(
+        lambda lines: ast.unparse(ast.parse("\n".join(lines)))
+    )
+
+
 def _as_bytes(findings) -> bytes:
     return json.dumps([f.to_dict() for f in findings]).encode()
 
@@ -68,16 +131,8 @@ class TestPrefilterParityProperty:
         assert _as_bytes(filtered) == _as_bytes(unfiltered)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        text=st.text(
-            alphabet="abcdefg()[]:=+%\n 0123456789'\"", max_size=200
-        )
-    )
+    @given(text=trigger_soup())
     def test_parseable_soup_identical(self, text):
-        try:
-            compile(text, "<soup>", "exec")
-        except (SyntaxError, ValueError):
-            assume(False)
         filtered = Analyzer(extended=True).analyze_source(text)
         unfiltered = Analyzer(
             extended=True, prefilter=False
