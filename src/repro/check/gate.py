@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.analyzer.findings import Finding, Severity
 
@@ -49,17 +49,32 @@ def _rule_version(rule_id: str) -> int:
     return 1
 
 
-def _relative_file(file: str, root: str | Path | None) -> str:
-    path = PurePath(file)
-    if root is not None:
-        try:
-            path = PurePath(file).relative_to(Path(root).resolve())
-        except ValueError:
-            try:
-                path = PurePath(file).relative_to(root)
-            except ValueError:
-                pass
-    return path.as_posix()
+def relative_paths(root: str | Path | None) -> Callable[[str], str]:
+    """``file -> scan-root-relative POSIX path``, memoized per file.
+
+    ``root`` is resolved once here, not once per finding: resolving is
+    a filesystem walk, and a check of a large tree relativizes
+    thousands of findings from a few hundred files.
+    """
+    resolved = Path(root).resolve() if root is not None else None
+    cache: dict[str, str] = {}
+
+    def relative(file: str) -> str:
+        result = cache.get(file)
+        if result is None:
+            path = PurePath(file)
+            if root is not None:
+                try:
+                    path = path.relative_to(resolved)
+                except ValueError:
+                    try:
+                        path = path.relative_to(root)
+                    except ValueError:
+                        pass
+            result = cache[file] = path.as_posix()
+        return result
+
+    return relative
 
 
 def finding_fingerprint(
@@ -72,11 +87,16 @@ def finding_fingerprint(
     part of the hash, so a revised rule never inherits stale
     suppressions.
     """
+    return fingerprint_at(finding, relative_paths(root)(finding.file))
+
+
+def fingerprint_at(finding: Finding, relative_file: str) -> str:
+    """:func:`finding_fingerprint` with the relative path already known."""
     payload = "\x1f".join(
         (
             finding.rule_id,
             str(_rule_version(finding.rule_id)),
-            _relative_file(finding.file, root),
+            relative_file,
             normalize_snippet(finding.snippet),
         )
     )
@@ -125,9 +145,10 @@ class Baseline:
         findings_by_file: Mapping[str, Iterable[Finding]],
         root: str | Path | None = None,
     ) -> "Baseline":
+        relative = relative_paths(root)
         return cls(
             fingerprints=frozenset(
-                finding_fingerprint(finding, root)
+                fingerprint_at(finding, relative(finding.file))
                 for findings in findings_by_file.values()
                 for finding in findings
             ),
@@ -184,10 +205,12 @@ def evaluate(
     }
     new: list[Finding] = []
     baselined: list[Finding] = []
+    relative = relative_paths(root)
+    fingerprint = fingerprint_at
     for findings in ordered.values():
         for finding in findings:
-            if baseline is not None and finding_fingerprint(
-                finding, root
+            if baseline is not None and fingerprint(
+                finding, relative(finding.file)
             ) in baseline:
                 baselined.append(finding)
             else:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.analyzer.findings import Finding, Severity
-from repro.check.gate import _relative_file, finding_fingerprint
+from repro.check.gate import fingerprint_at, relative_paths
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -78,8 +78,10 @@ def to_sarif(
     all_findings = [f for findings in ordered.values() for f in findings]
     rule_ids = [entry["id"] for entry in _rule_entries(all_findings)]
     results = []
+    relative = relative_paths(root)
+    fingerprint, fingerprint_key = fingerprint_at, FINGERPRINT_KEY
     for file, findings in ordered.items():
-        uri = _relative_file(file, root)
+        uri = relative(file)
         for finding in findings:
             results.append(
                 {
@@ -106,7 +108,9 @@ def to_sarif(
                         }
                     ],
                     "partialFingerprints": {
-                        FINGERPRINT_KEY: finding_fingerprint(finding, root)
+                        fingerprint_key: fingerprint(
+                            finding, relative(finding.file)
+                        )
                     },
                     "properties": {
                         "confidence": finding.confidence,
@@ -145,9 +149,7 @@ def to_sarif(
                             {
                                 "physicalLocation": {
                                     "artifactLocation": {
-                                        "uri": _relative_file(
-                                            entry.path, root
-                                        )
+                                        "uri": relative(entry.path)
                                     }
                                 }
                             }

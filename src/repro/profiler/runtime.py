@@ -24,7 +24,11 @@ Both runtimes record **deferred events**: flat tuples of raw counter
 reads pushed onto an append-only buffer.  No :class:`MethodRecord`, no
 dict of joules, no unit conversion happens inside the measured region;
 :func:`materialize` replays the buffer in a single pass at ``stop()``
-(see :class:`repro.profiler.tracer.EnergyTracer`).
+(see :class:`repro.profiler.tracer.EnergyTracer`).  It pairs the
+events into spans and hands them to :func:`replay`, which the source
+probes (:class:`repro.profiler.probes.ProbeRuntime`) share: deltas and
+exclusive energy are computed on positional rows, and the
+``Domain``-keyed dicts are built once per record.
 
 Event buffer format: ``(op, meta_index, ok, payload)`` where ``op`` is
 :data:`OP_OPEN` or :data:`OP_CLOSE`, ``meta_index`` indexes the
@@ -55,12 +59,17 @@ from __future__ import annotations
 
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
+from operator import add as _add
+from operator import sub as _sub
 from types import CodeType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from repro.profiler.records import MethodRecord
+from repro.profiler.records import MethodRecord, replayed_record
 from repro.rapl.backends import EnergySnapshot
+from repro.rapl.domains import DOMAINS
+from repro.rapl.msr import POSITION
 
 #: Event opcodes: a call/resume entered the measured scope…
 OP_OPEN = 0
@@ -748,69 +757,195 @@ def resolve_runtime(name: str) -> list[type[_RuntimeBase]]:
 
 
 def materialize(
-    buffer: Iterable[tuple],
+    buffer: Sequence[tuple],
     final_payload: object | None,
     final_ok: bool,
     metadata: Sequence[tuple[str, str, int]],
-    to_snapshots: Callable[[list], list[EnergySnapshot]],
+    to_rows: Callable[[list], list],
     counts: dict[str, int],
 ) -> list[MethodRecord]:
-    """Replay a deferred event buffer into :class:`MethodRecord` objects.
+    """Replay the tracer's deferred event buffer into records.
 
-    This is the single pass that performs everything the hooks deferred:
-    unit conversion (via ``to_snapshots``), delta computation, exclusive
-    (self) energy attribution through the reconstructed call stack, and
-    record construction.  Calls left open when tracing stopped are
-    closed against the final reading, exactly like the legacy tracer.
+    Tracer events pair LIFO (a CLOSE ends the innermost open call, and
+    that call's parent is the one below it), so the pairing is a stack
+    walk; calls left open when tracing stopped are closed against the
+    final reading, innermost first, exactly like the legacy tracer.
+    Everything else happens in :func:`replay`, which the probe runtime
+    shares.
     """
-    events = list(buffer)
-    snapshots = to_snapshots(
-        [event[3] for event in events] + [final_payload]
-    )
-    final_snapshot = snapshots.pop()
-    records: list[MethodRecord] = []
-    # Open-call stack entries: [meta_index, snapshot, ok, children_joules].
-    stack: list[list] = []
+    spans: list[tuple] = []
+    # Open calls as (metadata, start); the sentinel's start, -1, is the
+    # parent of a call opened with nothing else open.
+    stack: list[tuple] = [(None, -1)]
+    op_open = OP_OPEN
+    for position, event in enumerate(buffer):
+        if event[0] == op_open:
+            stack.append((metadata[event[1]], position))
+        elif len(stack) > 1:
+            meta, opened = stack.pop()
+            spans.append((meta, opened, position, stack[-1][1]))
+    end = len(buffer)
+    while len(stack) > 1:
+        meta, opened = stack.pop()
+        spans.append((meta, opened, end, stack[-1][1]))
+    payloads = [event[3] for event in buffer]
+    payloads.append(final_payload)
+    oks = [event[2] for event in buffer]
+    oks.append(final_ok)
+    return replay(spans, to_rows(payloads), oks, counts)
 
-    def close(entry: list, end: EnergySnapshot, end_ok: bool) -> None:
-        index, start, start_ok, children = entry
-        delta = end.delta(start)
-        exclusive = {
-            dom: delta.joules.get(dom, 0.0) - children.get(dom, 0.0)
-            for dom in delta.joules
-        }
-        method, filename, lineno = metadata[index]
+
+def replay(
+    spans: Sequence[tuple],
+    rows: Sequence[tuple | None],
+    oks: Sequence[bool],
+    counts: dict[str, int],
+) -> list[MethodRecord]:
+    """Build one :class:`MethodRecord` per span, in span order.
+
+    ``rows`` are positional readings ``(wall, cpu, joules)`` with
+    ``joules`` a tuple in :data:`~repro.rapl.domains.DOMAINS` order
+    (``None`` for a domain the reading lacks), or ``None`` for a
+    missing reading (a read failed before any succeeded), which counts
+    as zero.  ``oks`` flags the readings that really came from the
+    backend.  A span is ``((method, filename, lineno), start, end,
+    parent)``: ``start`` and ``end`` index ``rows``, and ``parent`` is
+    the ``start`` of the span it is credited to (-1 for a root).
+
+    Deltas and exclusive energy are computed on the positional rows;
+    the ``Domain``-keyed dicts are built once per record, when its span
+    closes.  The float operations are those of
+    :meth:`EnergySnapshot.delta` followed by a per-domain ``inclusive
+    - Σ children`` in closing order, so the records are bit-identical
+    to ones built from snapshots (see
+    ``tests/profiler/test_probe_golden.py``).  A child closing after
+    its parent (a probed generator outliving its consumer's frame,
+    say) is still subtracted from the parent's exclusive energy: that
+    parent's exclusive dict is recomputed, once, after the last span.
+    """
+    records: list[MethodRecord] = []
+    append = records.append
+    delta_of, dicts_of, record_of = _row_delta, _joules_dicts, replayed_record
+    accumulate, no_children = _accumulate, _ZEROS
+    # Running sums of closed children's inclusive joules, per parent
+    # span start, and the record index of every closed span.
+    children: dict[int, list] = {}
+    closed: dict[int, int] = {}
+    late: set[int] = set()
+    for meta, start, end, parent in spans:
+        wall, cpu, joules, clamped = delta_of(rows[start], rows[end])
+        method, filename, lineno = meta
         call_index = counts.get(method, 0)
         counts[method] = call_index + 1
-        records.append(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=call_index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=delta.cpu_seconds,
-                joules=dict(delta.joules),
-                exclusive_joules=exclusive,
-                suspect=not start_ok or not end_ok or delta.suspect,
+        inclusive, exclusive = dicts_of(
+            joules, children.get(start, no_children)
+        )
+        closed[start] = len(records)
+        append(
+            record_of(
+                method,
+                filename,
+                lineno,
+                call_index,
+                wall,
+                cpu,
+                inclusive,
+                exclusive,
+                clamped or not (oks[start] and oks[end]),
             )
         )
-        if stack:
-            parent_children = stack[-1][3]
-            for dom, joules in delta.joules.items():
-                parent_children[dom] = (
-                    parent_children.get(dom, 0.0) + joules
-                )
-
-    for event, snapshot in zip(events, snapshots):
-        op, index, ok = event[0], event[1], event[2]
-        if op == OP_OPEN:
-            stack.append([index, snapshot, ok, {}])
-        elif stack:
-            close(stack.pop(), snapshot, ok)
-    while stack:
-        close(stack.pop(), final_snapshot, final_ok)
+        if parent >= 0:
+            total = children.get(parent)
+            if total is None:
+                total = children[parent] = [0.0] * len(joules)
+            accumulate(total, joules)
+            if parent in closed:
+                late.add(parent)
+    position = POSITION
+    for start in late:
+        record = records[closed[start]]
+        below = children[start]
+        exclusive = record.exclusive_joules
+        exclusive.clear()
+        for dom, value in record.joules.items():
+            exclusive[dom] = value - below[position[dom]]
     return records
+
+
+_ZEROS = (0.0,) * len(DOMAINS)
+_NO_JOULES = (None,) * len(DOMAINS)
+
+
+def _accumulate(total: list, joules: Sequence) -> None:
+    """Add a child's inclusive joules into its parent's running sums."""
+    try:
+        total[:] = map(_add, total, joules)
+    except TypeError:  # a domain the reading lacks
+        for i, value in enumerate(joules):
+            if value is not None:
+                total[i] = total[i] + value
+
+
+def _joules_dicts(joules: Sequence, children: Sequence) -> tuple[dict, dict]:
+    """Inclusive and exclusive ``Domain``-keyed dicts of one record."""
+    if None in joules:
+        present = [
+            (dom, value, below)
+            for dom, value, below in zip(DOMAINS, joules, children)
+            if value is not None
+        ]
+        return (
+            {dom: value for dom, value, _ in present},
+            {dom: value - below for dom, value, below in present},
+        )
+    return (
+        dict(zip(DOMAINS, joules)),
+        dict(zip(DOMAINS, map(_sub, joules, children))),
+    )
+
+
+def _row_delta(
+    begin: tuple | None, finish: tuple | None
+) -> tuple[float, float, list, bool]:
+    """:meth:`EnergySnapshot.delta` on two rows.
+
+    Returns ``(wall, cpu, joules, clamped)``.  A missing row reads as
+    the zero snapshot and a domain the end row lacks stays ``None``.
+    A negative energy delta is clamped to zero with a
+    :class:`RuntimeWarning`, and ``clamped`` makes the record suspect.
+    """
+    try:
+        joules = list(map(_sub, finish[2], begin[2]))
+        if min(joules) >= 0.0:
+            return finish[0] - begin[0], finish[1] - begin[1], joules, False
+    except TypeError:  # a missing reading or domain
+        pass
+    if begin is None:
+        begin = (0.0, 0.0, _NO_JOULES)
+    if finish is None:
+        finish = (0.0, 0.0, _NO_JOULES)
+    joules = []
+    clamped = False
+    warn, domains = warnings.warn, DOMAINS
+    for dom, end, start in zip(domains, finish[2], begin[2]):
+        if end is None:
+            joules.append(None)
+            continue
+        if start is None:
+            start = 0.0
+        value = end - start
+        if value < 0.0:
+            warn(
+                f"negative energy delta for {dom.value} domain "
+                f"({value:.6f} J) — undetected counter wrap or faulty "
+                "read; clamping to 0 and marking the interval suspect",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            value = 0.0
+            clamped = True
+        joules.append(value)
+    return finish[0] - begin[0], finish[1] - begin[1], joules, clamped
 
 
 def _payload_wall(payload: object, fallback: float) -> float:
@@ -850,7 +985,7 @@ def materialize_concurrent(
     final_payload: object | None,
     final_ok: bool,
     metadata: Sequence[tuple[str, str, int]],
-    to_snapshots: Callable[[list], list[EnergySnapshot]],
+    to_rows: Callable[[list], list],
     counts: dict[str, int],
     task_names: Sequence[str],
 ) -> ConcurrentReplay:
@@ -878,13 +1013,16 @@ def materialize_concurrent(
     :func:`materialize` — the sync path's behaviour is preserved, not
     approximated.
 
+    ``to_rows`` converts the payloads, in that order, into positional
+    rows (see :func:`replay` and :func:`row_converter`).
+
     With numpy available the slice-attribution accumulators (step 3)
     are precomputed as per-domain cumulative-sum arrays instead of
-    per-event dict updates and per-open dict copies
-    (:func:`_replay_concurrent_vector`); ``np.cumsum`` performs the
-    same sequential additions, so the output — records, timeline,
-    unattributed — is bit-identical, and the pure loop remains the
-    numpy-free fallback.
+    per-event dict updates and per-open dict copies, and deltas are
+    taken on the rows (:func:`_replay_concurrent_vector`);
+    ``np.cumsum`` performs the same sequential additions, so the
+    output — records, timeline, unattributed — is bit-identical, and
+    the pure loop over snapshots remains the numpy-free fallback.
     """
     # 1. Global chronological merge (stable: wall, then arrival seq).
     tagged: list[tuple[float, int, _ThreadState, tuple]] = []
@@ -898,8 +1036,8 @@ def materialize_concurrent(
     tagged.sort(key=lambda item: (item[0], item[1]))
 
     # 2. Payload conversion in chronological order.
-    snapshots = to_snapshots([item[3][3] for item in tagged] + [final_payload])
-    final_snapshot = snapshots.pop()
+    rows = to_rows([item[3][3] for item in tagged] + [final_payload])
+    final_row = rows.pop()
 
     from repro.profiler.fastpath import numpy_or_none
 
@@ -908,8 +1046,8 @@ def materialize_concurrent(
         return _replay_concurrent_vector(
             np,
             tagged,
-            snapshots,
-            final_snapshot,
+            rows,
+            final_row,
             final_ok,
             states,
             metadata,
@@ -918,8 +1056,8 @@ def materialize_concurrent(
         )
     return _replay_concurrent_pure(
         tagged,
-        snapshots,
-        final_snapshot,
+        list(map(_row_snapshot, rows)),
+        _row_snapshot(final_row),
         final_ok,
         states,
         metadata,
@@ -1008,19 +1146,19 @@ def _replay_concurrent_pure(
         call_index = counts.get(method, 0)
         counts[method] = call_index + 1
         records.append(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=call_index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=cpu,
-                joules=inclusive,
-                exclusive_joules=exclusive,
-                suspect=not start_ok or not end_ok or delta.suspect,
-                thread_id=0 if state.is_owner else state.ident,
-                thread_name="" if state.is_owner else state.name,
-                task_name=task_names[task] if task >= 0 else "",
+            replayed_record(
+                method,
+                filename,
+                lineno,
+                call_index,
+                delta.wall_seconds,
+                cpu,
+                inclusive,
+                exclusive,
+                not start_ok or not end_ok or delta.suspect,
+                0 if state.is_owner else state.ident,
+                "" if state.is_owner else state.name,
+                task_names[task] if task >= 0 else "",
             )
         )
         stack = stacks[ident]
@@ -1084,15 +1222,15 @@ def _replay_concurrent_pure(
 def _replay_concurrent_vector(
     np,
     tagged: list[tuple[float, int, _ThreadState, tuple]],
-    snapshots: list[EnergySnapshot],
-    final_snapshot: EnergySnapshot,
+    rows: list[tuple | None],
+    final_row: tuple | None,
     final_ok: bool,
     states: Sequence[_ThreadState],
     metadata: Sequence[tuple[str, str, int]],
     counts: dict[str, int],
     task_names: Sequence[str],
 ) -> ConcurrentReplay:
-    """Steps 3–4 of the concurrent replay over flat numpy arrays.
+    """Steps 3–4 of the concurrent replay over positional rows.
 
     The pure loop's cost centers are the per-event dict updates of the
     global/per-thread running sums and the two dict *copies* taken at
@@ -1101,12 +1239,14 @@ def _replay_concurrent_vector(
     same order as the loop (events where a domain is absent contribute
     ``+0.0``, which is addition-neutral) — and an OPEN stores only its
     event position; ``close`` then reads the four accumulator values by
-    position instead of copying dicts.  Output is bit-identical to
-    :func:`_replay_concurrent_pure` (parity-tested to ``result.txt``
-    bytes).
+    position (from plain lists: float64 arithmetic either way) instead
+    of copying dicts, and takes its delta on the rows.  Output is
+    bit-identical to :func:`_replay_concurrent_pure` (parity-tested to
+    ``result.txt`` bytes).
     """
     n = len(tagged)
     tcount = len(states)
+    width = len(DOMAINS)
     state_pos = {id(s): i for i, s in enumerate(states)}
     arange_n = np.arange(n)
 
@@ -1134,49 +1274,53 @@ def _replay_concurrent_vector(
     depth_after = np.cumsum(per_thread_sign, axis=1)
     idle = (depth_after[tidx, arange_n] - sign) == 0
 
-    # Domain union over the event snapshots, first-appearance order.
-    domains: list = []
-    seen: set = set()
-    for snap in snapshots:
-        for dom in snap.joules:
-            if dom not in seen:
-                seen.add(dom)
-                domains.append(dom)
+    # Joules matrix: a missing reading or domain is NaN (numpy reads
+    # None as NaN), i.e. absent; absent values count as 0.0.
+    absent = (None,) * width
+    matrix = np.array(
+        [row[2] if row is not None else absent for row in rows],
+        dtype=np.float64,
+    ).reshape(n, width)
+    present = ~np.isnan(matrix)
+    values = np.where(present, matrix, 0.0)
 
-    # Per-domain accumulator arrays.  total_cum[d][i] == the pure
-    # loop's total_joules[d] right after event i's gap attribution;
-    # own_cum[d][t, i] likewise for thread t's running sum.
-    total_cum: dict = {}
-    own_cum: dict = {}
-    unattr_cum: dict = {}
-    touched: dict = {}
-    for dom in domains:
-        vals = np.fromiter(
-            (s.joules.get(dom, 0.0) for s in snapshots),
-            dtype=np.float64,
-            count=n,
-        )
-        present = np.fromiter(
-            (dom in s.joules for s in snapshots), dtype=bool, count=n
-        )
+    # Domain union over the event rows, first-appearance order (row,
+    # then DOMAINS order within a row — a snapshot's key order).
+    seen = present.any(axis=0)
+    first = present.argmax(axis=0)
+    domains = sorted(
+        (k for k in range(width) if seen[k]), key=lambda k: (first[k], k)
+    )
+
+    # Per-domain running sums.  total_cum[k][i] == the pure loop's
+    # total_joules[dom] right after event i's gap attribution;
+    # own_cum[k][t, i] likewise for thread t's running sum.
+    total_cum: dict[int, object] = {}
+    own_cum: dict[int, object] = {}
+    total_end: dict[int, float] = {}
+    unattr_end: dict[int, float] = {}
+    for k in domains:
+        vals = values[:, k]
         g = np.zeros(n, dtype=np.float64)
         np.subtract(vals[1:], vals[:-1], out=g[1:])
         np.maximum(g, 0.0, out=g)  # counter wrap survived conversion
         g[~gap_ok] = 0.0
-        total_cum[dom] = np.cumsum(g)
+        total_cum[k] = np.cumsum(g)
         per_thread = np.zeros((tcount, n), dtype=np.float64)
         per_thread[tidx, arange_n] = g
-        own_cum[dom] = np.cumsum(per_thread, axis=1)
-        unattr_cum[dom] = np.cumsum(np.where(idle, g, 0.0))
+        own_cum[k] = np.cumsum(per_thread, axis=1)
         # Key-presence parity: the pure dicts gain a key only when a
-        # gap event's *later* snapshot actually carried the domain.
-        touched[dom] = (
-            bool(np.any(present & gap_ok)),
-            bool(np.any(present & gap_ok & idle)),
-        )
+        # gap event's *later* reading actually carried the domain.
+        gapped = present[:, k] & gap_ok
+        if gapped.any():
+            total_end[k] = float(total_cum[k][-1])
+        if (gapped & idle).any():
+            unattr_end[k] = float(np.cumsum(np.where(idle, g, 0.0))[-1])
 
     cpu_vals = np.fromiter(
-        (s.cpu_seconds for s in snapshots), dtype=np.float64, count=n
+        (row[1] if row is not None else 0.0 for row in rows),
+        dtype=np.float64,
+        count=n,
     )
     cg = np.zeros(n, dtype=np.float64)
     np.subtract(cpu_vals[1:], cpu_vals[:-1], out=cg[1:])
@@ -1187,107 +1331,126 @@ def _replay_concurrent_vector(
     per_thread_cpu[tidx, arange_n] = cg
     own_cpu_cum = np.cumsum(per_thread_cpu, axis=1)
 
+    # Pair every CLOSE with its OPEN (per-thread LIFO, as the replay loop
+    # below does) up front, so the foreign terms of all in-loop closes
+    # come from one gather per domain instead of scalar lookups per
+    # close: ``foreign = Δtotal − Δown`` over the call's interval.
+    open_pos: list[int] = []
+    close_pos: list[int] = []
+    depth: dict[int, list[int]] = {id(s): [] for s in states}
+    op_open = OP_OPEN
+    for pos, item in enumerate(tagged):
+        pending = depth[id(item[2])]
+        if item[3][0] == op_open:
+            pending.append(pos)
+        elif pending:
+            open_pos.append(pending.pop())
+            close_pos.append(pos)
+    opened_at = np.array(open_pos, dtype=np.intp)
+    closed_at = np.array(close_pos, dtype=np.intp)
+    closer = tidx[closed_at]
+    foreign = np.zeros((len(close_pos), width), dtype=np.float64)
+    for k in domains:
+        tc = total_cum[k]
+        oc = own_cum[k]
+        foreign[:, k] = (tc[closed_at] - tc[opened_at]) - (
+            oc[closer, closed_at] - oc[closer, opened_at]
+        )
+    foreign_joules = foreign.tolist()
+    foreign_cpu = (
+        (total_cpu_cum[closed_at] - total_cpu_cum[opened_at])
+        - (own_cpu_cum[closer, closed_at] - own_cpu_cum[closer, opened_at])
+    ).tolist()
+
     records: list[MethodRecord] = []
     stacks: dict[int, list[list]] = {id(s): [] for s in states}
 
     def emit(
         index: int,
-        delta,
-        inclusive: dict,
-        children: dict,
+        wall: float,
+        inclusive: list,
+        children: list,
         cpu: float,
-        start_ok: bool,
-        end_ok: bool,
+        suspect: bool,
         state: _ThreadState,
         task: int,
     ) -> None:
-        exclusive = {
-            dom: inclusive.get(dom, 0.0) - children.get(dom, 0.0)
-            for dom in inclusive
-        }
+        joules, exclusive = _joules_dicts(inclusive, children)
         method, filename, lineno = metadata[index]
         call_index = counts.get(method, 0)
         counts[method] = call_index + 1
         records.append(
-            MethodRecord(
-                method=method,
-                filename=filename,
-                lineno=lineno,
-                call_index=call_index,
-                wall_seconds=delta.wall_seconds,
-                cpu_seconds=cpu,
-                joules=inclusive,
-                exclusive_joules=exclusive,
-                suspect=not start_ok or not end_ok or delta.suspect,
-                thread_id=0 if state.is_owner else state.ident,
-                thread_name="" if state.is_owner else state.name,
-                task_name=task_names[task] if task >= 0 else "",
+            replayed_record(
+                method,
+                filename,
+                lineno,
+                call_index,
+                wall,
+                cpu,
+                joules,
+                exclusive,
+                suspect,
+                0 if state.is_owner else state.ident,
+                "" if state.is_owner else state.name,
+                task_names[task] if task >= 0 else "",
             )
         )
         stack = stacks[id(state)]
         if stack:
-            parent_children = stack[-1][3]
-            for dom, joules in inclusive.items():
-                parent_children[dom] = parent_children.get(dom, 0.0) + joules
+            _accumulate(stack[-1][3], inclusive)
 
-    def close_at(entry: list, pos: int, end, end_ok: bool, state) -> None:
-        """In-loop close: accumulator values read by event position."""
-        index, start, start_ok, children, task, pos_open = entry
-        t = state_pos[id(state)]
-        delta = end.delta(start)
-        inclusive = {}
-        for dom, value in delta.joules.items():
-            tc = total_cum.get(dom)
-            if tc is not None:
-                oc = own_cum[dom]
-                foreign = float(
-                    (tc[pos] - tc[pos_open]) - (oc[t, pos] - oc[t, pos_open])
-                )
-                if foreign:
-                    value = value - foreign
-                    if value < 0.0:
-                        value = 0.0
-            inclusive[dom] = value
-        cpu_foreign = float(
-            (total_cpu_cum[pos] - total_cpu_cum[pos_open])
-            - (own_cpu_cum[t, pos] - own_cpu_cum[t, pos_open])
-        )
-        cpu = delta.cpu_seconds
-        if cpu_foreign:
-            cpu = cpu - cpu_foreign
+    def close(
+        entry: list,
+        end: tuple | None,
+        end_ok: bool,
+        state: _ThreadState,
+        foreign_joules: list,
+        foreign_cpu: float,
+    ) -> None:
+        """``foreign_*``: energy/CPU other threads used inside the call."""
+        index, start, start_ok, children, task, _opened = entry
+        wall, cpu, joules, clamped = _row_delta(start, end)
+        for k, foreign in enumerate(foreign_joules):
+            value = joules[k]
+            if foreign and value is not None:
+                value = value - foreign
+                if value < 0.0:
+                    value = 0.0
+                joules[k] = value
+        if foreign_cpu:
+            cpu = cpu - foreign_cpu
             if cpu < 0.0:
                 cpu = 0.0
         emit(
-            index, delta, inclusive, children, cpu, start_ok, end_ok,
-            state, task,
+            index, wall, joules, children, cpu,
+            clamped or not start_ok or not end_ok, state, task,
         )
 
+    closes = 0
     for pos, (_wall, _seq, state, event) in enumerate(tagged):
         op, index, ok_ev = event[0], event[1], event[2]
         task = event[4] if len(event) > 4 else -1
         if op == OP_OPEN:
             stacks[id(state)].append(
-                [index, snapshots[pos], ok_ev, {}, task, pos]
+                [index, rows[pos], ok_ev, [0.0] * width, task, pos]
             )
-        else:
-            stack = stacks[id(state)]
-            if stack:
-                close_at(stack.pop(), pos, snapshots[pos], ok_ev, state)
+            continue
+        stack = stacks[id(state)]
+        if stack:
+            close(
+                stack.pop(), rows[pos], ok_ev, state,
+                foreign_joules[closes], foreign_cpu[closes],
+            )
+            closes += 1
 
     # Scalar running state for everything after the last event: the
     # tail-slice attribution and the closes of still-open calls.  The
     # cumulative arrays' last elements are bit-equal to the pure loop's
     # running sums at this point.
-    total_now: dict = {}
-    unattr_now: dict = {}
-    for dom in domains:
-        any_gap, any_idle_gap = touched[dom]
-        if any_gap:
-            total_now[dom] = float(total_cum[dom][-1])
-        if any_idle_gap:
-            unattr_now[dom] = float(unattr_cum[dom][-1])
+    total_now = {DOMAINS[k]: value for k, value in total_end.items()}
+    unattr_now = {DOMAINS[k]: value for k, value in unattr_end.items()}
     own_now = [
-        {dom: float(own_cum[dom][t, -1]) for dom in domains}
+        {DOMAINS[k]: float(own_cum[k][t, -1]) for k in domains}
         for t in range(tcount)
     ]
     total_cpu_now = float(total_cpu_cum[-1])
@@ -1301,61 +1464,49 @@ def _replay_concurrent_vector(
         t = state_pos[id(owner_state)]
         mine = own_now[t]
         idle_tail = not stacks[id(owner_state)]
-        prev = snapshots[-1]
-        for dom, value in final_snapshot.joules.items():
-            gap = value - prev.joules.get(dom, 0.0)
+        prev = _row_snapshot(rows[-1]).joules
+        tail = _row_snapshot(final_row).joules
+        for dom, value in tail.items():
+            gap = value - prev.get(dom, 0.0)
             if gap < 0.0:
                 gap = 0.0
             total_now[dom] = total_now.get(dom, 0.0) + gap
             mine[dom] = mine.get(dom, 0.0) + gap
             if idle_tail:
                 unattr_now[dom] = unattr_now.get(dom, 0.0) + gap
-        cpu_gap = final_snapshot.cpu_seconds - prev.cpu_seconds
+        cpu_gap = (final_row[1] if final_row else 0.0) - (
+            rows[-1][1] if rows[-1] else 0.0
+        )
         if cpu_gap < 0.0:
             cpu_gap = 0.0
         total_cpu_now += cpu_gap
         own_cpu_now[t] += cpu_gap
 
-    def close_final(entry: list, state: _ThreadState) -> None:
-        """Post-loop close against the final reading (post-tail sums)."""
-        index, start, start_ok, children, task, pos_open = entry
-        t = state_pos[id(state)]
-        mine = own_now[t]
-        delta = final_snapshot.delta(start)
-        inclusive = {}
-        for dom, value in delta.joules.items():
-            tc = total_cum.get(dom)
-            open_total = float(tc[pos_open]) if tc is not None else 0.0
-            open_own = (
-                float(own_cum[dom][t, pos_open]) if tc is not None else 0.0
-            )
-            foreign = (total_now.get(dom, 0.0) - open_total) - (
-                mine.get(dom, 0.0) - open_own
-            )
-            if foreign:
-                value = value - foreign
-                if value < 0.0:
-                    value = 0.0
-            inclusive[dom] = value
-        cpu_foreign = (total_cpu_now - float(total_cpu_cum[pos_open])) - (
-            own_cpu_now[t] - float(own_cpu_cum[t, pos_open])
-        )
-        cpu = delta.cpu_seconds
-        if cpu_foreign:
-            cpu = cpu - cpu_foreign
-            if cpu < 0.0:
-                cpu = 0.0
-        emit(
-            index, delta, inclusive, children, cpu, start_ok, final_ok,
-            state, task,
-        )
-
     # Calls still open when tracing stopped close against the final
-    # reading — owner first (registration order), innermost first.
+    # reading — owner first (registration order), innermost first —
+    # with the post-tail running sums.
+    domains_at = list(enumerate(DOMAINS))
     for state in states:
         stack = stacks[id(state)]
+        t = state_pos[id(state)]
+        mine = own_now[t]
         while stack:
-            close_final(stack.pop(), state)
+            entry = stack.pop()
+            opened = entry[5]
+            foreign_final = []
+            for k, dom in domains_at:
+                open_total = open_own = 0.0
+                if k in total_cum:
+                    open_total = float(total_cum[k][opened])
+                    open_own = float(own_cum[k][t, opened])
+                foreign_final.append(
+                    (total_now.get(dom, 0.0) - open_total)
+                    - (mine.get(dom, 0.0) - open_own)
+                )
+            cpu_final = (total_cpu_now - float(total_cpu_cum[opened])) - (
+                own_cpu_now[t] - float(own_cpu_cum[t, opened])
+            )
+            close(entry, final_row, final_ok, state, foreign_final, cpu_final)
 
     return ConcurrentReplay(
         records=records,
@@ -1365,28 +1516,48 @@ def _replay_concurrent_vector(
     )
 
 
-def snapshot_converter(
-    backend, raw_mode: bool
-) -> Callable[[list], list[EnergySnapshot]]:
-    """Build the payload→snapshot conversion for :func:`materialize`.
+def row_converter(backend, raw_mode: bool) -> Callable[[list], list]:
+    """Build the payload→row conversion for :func:`replay`.
 
     Raw mode hands the chronological reading list to the backend's
-    ``materialize_raw`` (wrap handling is order-sensitive); full-snapshot
-    mode is the identity.  ``None`` payloads (a read failed before any
-    succeeded) become a zero snapshot in both modes.
+    ``cumulative_raw`` (wrap handling is order-sensitive); full-snapshot
+    mode lays each :class:`EnergySnapshot` out positionally.  ``None``
+    payloads (a read failed before any succeeded) stay ``None``.
     """
 
-    def convert(payloads: list) -> list[EnergySnapshot]:
+    def convert(payloads: list) -> list:
         if raw_mode:
             present = [p for p in payloads if p is not None]
-            converted = iter(backend.materialize_raw(present))
-            return [
-                next(converted) if p is not None else _ZERO_SNAPSHOT
-                for p in payloads
-            ]
-        return [p if p is not None else _ZERO_SNAPSHOT for p in payloads]
+            converted = iter(backend.cumulative_raw(present))
+            return [next(converted) if p is not None else None for p in payloads]
+        return [snapshot_row(p) if p is not None else None for p in payloads]
 
     return convert
+
+
+def snapshot_row(snapshot: EnergySnapshot) -> tuple:
+    """An :class:`EnergySnapshot` as a positional row (``None`` = absent)."""
+    joules = snapshot.joules
+    return (
+        snapshot.wall_seconds,
+        snapshot.cpu_seconds,
+        tuple(map(joules.get, DOMAINS)),
+    )
+
+
+def _row_snapshot(row: tuple | None) -> EnergySnapshot:
+    """A row as an :class:`EnergySnapshot` (the pure concurrent replay)."""
+    if row is None:
+        return _ZERO_SNAPSHOT
+    return EnergySnapshot(
+        joules={
+            dom: value
+            for dom, value in zip(DOMAINS, row[2])
+            if value is not None
+        },
+        wall_seconds=row[0],
+        cpu_seconds=row[1],
+    )
 
 
 # -- self-overhead accounting -----------------------------------------

@@ -71,7 +71,7 @@ from repro.profiler.runtime import (
     materialize,
     materialize_concurrent,
     resolve_runtime,
-    snapshot_converter,
+    row_converter,
 )
 from repro.rapl.backends import EnergySnapshot, RaplBackend, default_backend
 from repro.rapl.domains import Domain
@@ -144,7 +144,7 @@ class EnergyTracer:
     ----------
     backend:
         Energy source (defaults to :func:`repro.rapl.default_backend`).
-        Backends exposing ``snapshot_raw``/``materialize_raw`` get the
+        Backends exposing ``snapshot_raw``/``cumulative_raw`` get the
         deferred-conversion fast path: the hook records flat tuples of
         raw counter reads and all µJ→J conversion happens at
         :meth:`stop`.
@@ -315,14 +315,13 @@ class EnergyTracer:
         except OSError:
             final_payload = impl._last_payload
             final_ok = False
-        converter = snapshot_converter(self.backend, self._raw_mode)
         if self._follow_threads:
             replay = materialize_concurrent(
                 impl.thread_states(),
                 final_payload,
                 final_ok,
                 self._filter.metadata,
-                converter,
+                row_converter(self.backend, self._raw_mode),
                 self._counts,
                 impl.task_names,
             )
@@ -341,7 +340,7 @@ class EnergyTracer:
                 final_payload,
                 final_ok,
                 self._filter.metadata,
-                converter,
+                row_converter(self.backend, self._raw_mode),
                 self._counts,
             )
         self.result.extend(records)

@@ -25,12 +25,16 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mod as _mod
+from operator import mul as _mul
+from operator import sub as _sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
-from repro.rapl.domains import Domain
+from repro.rapl.domains import DOMAINS, Domain
 from repro.rapl.model import EnergyModel
-from repro.rapl.msr import MSR_ADDRESSES, MsrFile, RaplCounterReader
+from repro.rapl.msr import MsrFile
 from repro.rapl.units import RaplUnits
 
 if TYPE_CHECKING:
@@ -175,10 +179,15 @@ class RaplBackend(Protocol):
         ...
 
 
+#: Counter period of a 32-bit energy-status register.
+_WRAP = 1 << 32
+_COUNTER_MASK = _WRAP - 1
+_WRAPS = repeat(_WRAP)
+
 #: A raw reading: ``(wall_seconds, cpu_seconds, counter, counter, ...)``
 #: with one counter per entry of the backend's ``raw_domains`` tuple.
 #: Flat tuples keep the in-hook cost of the profiler's deferred path to
-#: one allocation; all interpretation happens in ``materialize_raw``.
+#: one allocation; all interpretation happens in ``cumulative_raw``.
 RawReading = tuple
 
 
@@ -235,12 +244,20 @@ class SimulatedBackend:
         # repro.rapl.timeline); counter updates must be atomic.
         self._lock = threading.Lock()
         self._last_wall, self._last_cpu = self.clock.now()
-        self._readers = {
-            dom: RaplCounterReader(units=self.units) for dom in Domain
-        }
-        # Establish reader baselines so the first snapshot reads zero.
-        for dom in Domain:
-            self._readers[dom].update(self.msr.read_domain(dom))
+        # Per-domain (static W, dynamic W) in DOMAINS order, so a sync
+        # walks a tuple instead of looking each domain up in the model.
+        self._coefficients = tuple(
+            (power.static_watts, power.dynamic_watts)
+            for power in (self.model.domain_power[dom] for dom in DOMAINS)
+        )
+        self._unit_joules = self.units.energy_joules
+        # snapshot()'s wrap-aware accumulation (what RaplCounterReader
+        # does, kept positional): the last raw value seen per domain and
+        # the units accumulated since construction.  The baselines make
+        # the first snapshot read zero; cumulative_raw starts from them too.
+        self._baseline_raw = tuple(self.msr.raw)
+        self._seen_raw = list(self._baseline_raw)
+        self._total_units = [0] * len(DOMAINS)
 
     def _require_rng(self):
         """Noise/outlier RNG, created on first use.
@@ -295,8 +312,10 @@ class SimulatedBackend:
         self._last_wall, self._last_cpu = wall, cpu
         if dwall <= 0 and dcpu <= 0:
             return
-        dwall = max(dwall, 0.0)
-        dcpu = max(dcpu, 0.0)
+        if dwall < 0.0:
+            dwall = 0.0
+        if dcpu < 0.0:
+            dcpu = 0.0
         scale = 1.0
         if self.noise_sigma:
             scale *= max(
@@ -304,9 +323,24 @@ class SimulatedBackend:
             )
         if self.outlier_rate and self._require_rng().random() < self.outlier_rate:
             scale *= self.outlier_scale
-        for dom in Domain:
-            joules = self.model.energy_joules(dom, dwall, dcpu, self._intensity)
-            self.msr.deposit_joules(dom, joules * scale)
+        # EnergyModel.energy_joules then MsrFile.deposit_joules for each
+        # domain, fused into one positional loop with the same float
+        # operations in the same order.
+        intensity = self._intensity
+        msr = self.msr
+        raw = msr.raw
+        residual = msr.residual
+        per_joule = msr.units_per_joule
+        mask = _COUNTER_MASK
+        for i, (static, dynamic) in enumerate(self._coefficients):
+            units = residual[i] + (
+                (static * dwall + dynamic * intensity * dcpu) * scale
+            ) * per_joule
+            whole = int(units)
+            if whole:
+                units -= whole
+                raw[i] = (raw[i] + whole) & mask
+            residual[i] = units
 
     # -- RaplBackend interface ------------------------------------------
 
@@ -322,10 +356,18 @@ class SimulatedBackend:
     def snapshot(self) -> EnergySnapshot:
         with self._lock:
             self._sync_locked()
-            joules = {
-                dom: self._readers[dom].update(self.msr.read_domain(dom))
-                for dom in Domain
-            }
+            seen = self._seen_raw
+            totals = self._total_units
+            unit = self._unit_joules
+            joules = {}
+            wrap, domains = _WRAP, DOMAINS
+            for i, (dom, raw) in enumerate(zip(domains, self.msr.raw)):
+                delta = raw - seen[i]
+                if delta < 0:  # one counter wrap
+                    delta += wrap
+                seen[i] = raw
+                totals[i] += delta
+                joules[dom] = totals[i] * unit
             return EnergySnapshot(
                 joules=joules,
                 wall_seconds=self._last_wall,
@@ -335,7 +377,7 @@ class SimulatedBackend:
     # -- deferred-conversion fast path ---------------------------------
 
     #: Domain order of the counters in a raw reading tuple.
-    raw_domains: tuple[Domain, ...] = tuple(Domain)
+    raw_domains: tuple[Domain, ...] = DOMAINS
 
     def snapshot_raw(self) -> RawReading:
         """One flat ``(wall, cpu, counter...)`` tuple, no unit conversion.
@@ -343,49 +385,32 @@ class SimulatedBackend:
         The profiler's measured region calls this instead of
         :meth:`snapshot`: the 32-bit counters are recorded verbatim and
         the µJ→J accumulation, dict building and dataclass construction
-        all happen once, after tracing stops, in :meth:`materialize_raw`.
+        all happen once, after tracing stops, in :meth:`cumulative_raw`.
         """
         with self._lock:
             self._sync_locked()
-            read = self.msr.read_domain
-            return (
-                self._last_wall,
-                self._last_cpu,
-                read(Domain.PACKAGE),
-                read(Domain.PP0),
-                read(Domain.PP1),
-                read(Domain.DRAM),
-                read(Domain.PSYS),
-            )
+            return (self._last_wall, self._last_cpu, *self.msr.raw)
 
-    def materialize_raw(
-        self, readings: Sequence[RawReading]
-    ) -> list[EnergySnapshot]:
-        """Convert chronological raw readings into cumulative snapshots.
+    def cumulative_raw(self, readings: Sequence[RawReading]) -> list[tuple]:
+        """Convert chronological raw readings into positional joules.
 
-        Wrap handling is order-sensitive, so readings must be passed in
-        the order they were taken.  The accumulated joule values start
-        from a fresh baseline (the first reading reads as zero); only
-        deltas between the returned snapshots are meaningful, which is
-        all the profiler computes.
+        Returns one ``(wall, cpu, joules)`` row per reading, ``joules`` a
+        tuple in :data:`~repro.rapl.domains.DOMAINS` order accumulated since
+        the backend was constructed — the values :meth:`snapshot` would
+        have returned at the same moments.  Wrap handling is
+        order-sensitive, so readings must be passed in the order they
+        were taken.
         """
-        readers = {
-            dom: RaplCounterReader(units=self.units) for dom in self.raw_domains
-        }
-        snapshots = []
-        for reading in readings:
-            joules = {
-                dom: readers[dom].update(raw)
-                for dom, raw in zip(self.raw_domains, reading[2:])
-            }
-            snapshots.append(
-                EnergySnapshot(
-                    joules=joules,
-                    wall_seconds=reading[0],
-                    cpu_seconds=reading[1],
-                )
-            )
-        return snapshots
+        if not readings:
+            return []
+        walls, cpus, *counters = zip(*readings)
+        columns = map(
+            _joule_column,
+            self._baseline_raw,
+            counters,
+            repeat(self._unit_joules),
+        )
+        return list(zip(walls, cpus, zip(*columns)))
 
 
 class LiveBackend:
@@ -466,7 +491,7 @@ class LiveBackend:
         """Raw powercap µJ counters, one int per readable zone.
 
         Skips the float division and dict construction of
-        :meth:`snapshot`; both happen in :meth:`materialize_raw` after
+        :meth:`snapshot`; both happen in :meth:`cumulative_raw` after
         tracing stops.
         """
         with self._lock:
@@ -477,24 +502,32 @@ class LiveBackend:
                 *(int(path.read_text()) for path in self._zones.values()),
             )
 
-    def materialize_raw(
-        self, readings: Sequence[RawReading]
-    ) -> list[EnergySnapshot]:
-        """Convert buffered µJ readings into cumulative snapshots."""
-        domains = self.raw_domains
-        snapshots = []
+    def cumulative_raw(self, readings: Sequence[RawReading]) -> list[tuple]:
+        """Buffered µJ readings as ``(wall, cpu, joules)`` rows.
+
+        ``joules`` is in :data:`~repro.rapl.domains.DOMAINS` order;
+        domains without a readable zone read 0.0.
+        """
+        positions = [DOMAINS.index(dom) for dom in self.raw_domains]
+        width = len(DOMAINS)
+        out = []
         for reading in readings:
-            joules = dict.fromkeys(Domain, 0.0)
-            for dom, microjoules in zip(domains, reading[2:]):
-                joules[dom] = microjoules / 1e6
-            snapshots.append(
-                EnergySnapshot(
-                    joules=joules,
-                    wall_seconds=reading[0],
-                    cpu_seconds=reading[1],
-                )
-            )
-        return snapshots
+            joules = [0.0] * width
+            for position, microjoules in zip(positions, reading[2:]):
+                joules[position] = microjoules / 1e6
+            out.append((reading[0], reading[1], tuple(joules)))
+        return out
+
+
+def _joule_column(baseline: int, column: tuple, unit: float) -> Iterator:
+    """Joules accumulated since ``baseline`` at each raw reading.
+
+    A decrease is exactly one wrap, so each step is taken modulo 2**32;
+    the running unit count is exact, and so is its product with the
+    power-of-two unit size.
+    """
+    steps = map(_mod, map(_sub, column, (baseline, *column[:-1])), _WRAPS)
+    return map(_mul, accumulate(steps), repeat(unit))
 
 
 def default_backend(

@@ -33,6 +33,12 @@ class Domain(enum.Enum):
     DRAM = "dram"
     PSYS = "psys"
 
+    # Members are singletons compared by identity (and pickled by name),
+    # so identity hashing is equivalent to Enum's name hashing.  It runs
+    # in C: profiling replays look Domain keys up hundreds of thousands
+    # of times per run, and 3.11's ``Enum.__hash__`` is Python-level.
+    __hash__ = object.__hash__
+
     @property
     def pretty(self) -> str:
         """Human-readable name used in reports (e.g. ``Package``)."""
@@ -43,6 +49,10 @@ class Domain(enum.Enum):
         """The domains the paper's evaluation reports on."""
         return (cls.PACKAGE, cls.PP0)
 
+
+#: Every domain in definition order: the layout of positional readings
+#: (see :meth:`repro.rapl.backends.SimulatedBackend.cumulative_raw`).
+DOMAINS: tuple[Domain, ...] = tuple(Domain)
 
 _PRETTY = {
     Domain.PACKAGE: "Package",

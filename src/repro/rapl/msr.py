@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rapl.domains import Domain
+from repro.rapl.domains import DOMAINS, Domain
 from repro.rapl.units import DEFAULT_POWER_UNIT_RAW, RaplUnits
 
 #: Architectural MSR addresses (Intel SDM Vol. 4).
@@ -43,8 +43,6 @@ MSR_ADDRESSES: dict[Domain, int] = {
     Domain.PSYS: MSR_PLATFORM_ENERGY_STATUS,
 }
 
-_ADDRESS_TO_DOMAIN = {addr: dom for dom, addr in MSR_ADDRESSES.items()}
-
 _COUNTER_BITS = 32
 _COUNTER_MASK = (1 << _COUNTER_BITS) - 1
 
@@ -53,12 +51,12 @@ class MsrError(OSError):
     """Raised for reads of unknown or unreadable MSR addresses."""
 
 
-@dataclass
-class _DomainCounter:
-    """Internal per-domain state: fractional joules not yet visible."""
+#: Position of each domain's counter in :attr:`MsrFile.raw`.
+POSITION: dict[Domain, int] = {dom: i for i, dom in enumerate(DOMAINS)}
 
-    raw: int = 0
-    residual_units: float = 0.0
+_ADDRESS_TO_POSITION = {
+    addr: POSITION[dom] for dom, addr in MSR_ADDRESSES.items()
+}
 
 
 class MsrFile:
@@ -67,6 +65,13 @@ class MsrFile:
     Energy is *deposited* in joules via :meth:`deposit_joules` (the
     energy model does this) and becomes visible through 32-bit wrapping
     counters read with :meth:`read`, just as on real silicon.
+
+    Counters are positional: :attr:`raw` holds the 32-bit values and
+    :attr:`residual` the fractional units not yet visible, one entry per
+    domain in :data:`~repro.rapl.domains.DOMAINS` order, so the
+    simulated backend's per-reading work does no ``Domain``-keyed
+    lookups (it updates both lists in place, exactly as
+    :meth:`deposit_joules` does).
 
     Parameters
     ----------
@@ -84,14 +89,15 @@ class MsrFile:
         initial_raw: dict[Domain, int] | None = None,
     ) -> None:
         self.units = units or RaplUnits.default()
-        self._counters: dict[Domain, _DomainCounter] = {
-            dom: _DomainCounter() for dom in Domain
-        }
-        if initial_raw:
-            for dom, raw in initial_raw.items():
-                if not 0 <= raw <= _COUNTER_MASK:
-                    raise ValueError(f"initial raw counter out of range: {raw:#x}")
-                self._counters[dom].raw = raw
+        self.raw: list[int] = [0] * len(DOMAINS)
+        self.residual: list[float] = [0.0] * len(DOMAINS)
+        #: Energy status units per joule.
+        self.units_per_joule = 1 << self.units.energy_exp
+        position, mask = POSITION, _COUNTER_MASK
+        for dom, raw in (initial_raw or {}).items():
+            if not 0 <= raw <= mask:
+                raise ValueError(f"initial raw counter out of range: {raw:#x}")
+            self.raw[position[dom]] = raw
 
     # -- hardware-facing side (driven by the energy model) ------------
 
@@ -104,12 +110,13 @@ class MsrFile:
         """
         if joules < 0:
             raise ValueError(f"cannot deposit negative energy: {joules}")
-        counter = self._counters[domain]
-        counter.residual_units += joules * (1 << self.units.energy_exp)
-        whole = int(counter.residual_units)
+        position = POSITION[domain]
+        units = self.residual[position] + joules * self.units_per_joule
+        whole = int(units)
         if whole:
-            counter.residual_units -= whole
-            counter.raw = (counter.raw + whole) & _COUNTER_MASK
+            units -= whole
+            self.raw[position] = (self.raw[position] + whole) & _COUNTER_MASK
+        self.residual[position] = units
 
     # -- software-facing side (what the injected reader sees) ---------
 
@@ -117,14 +124,14 @@ class MsrFile:
         """Read an MSR by address, mirroring ``pread(/dev/cpu/N/msr)``."""
         if address == MSR_RAPL_POWER_UNIT:
             return self.units.encode() or DEFAULT_POWER_UNIT_RAW
-        domain = _ADDRESS_TO_DOMAIN.get(address)
-        if domain is None:
+        position = _ADDRESS_TO_POSITION.get(address)
+        if position is None:
             raise MsrError(f"rdmsr: unknown MSR address {address:#x}")
-        return self._counters[domain].raw
+        return self.raw[position]
 
     def read_domain(self, domain: Domain) -> int:
         """Read the raw 32-bit energy counter for ``domain``."""
-        return self._counters[domain].raw
+        return self.raw[POSITION[domain]]
 
 
 @dataclass

@@ -6,6 +6,7 @@ from repro.bench.overhead import (
     CONCURRENT_NOISE_FLOOR_S,
     CONCURRENT_WORKLOADS,
     CONFIGS,
+    RECORDED_BUDGET_US,
     OverheadBenchResult,
     render_overhead_bench,
     run_overhead_bench,
@@ -25,13 +26,17 @@ class TestOverheadBench:
             {"monitoring"} if MonitoringRuntime.available() else set()
         )
         expected = {"legacy"} | new_configs
-        assert set(result.overhead_per_call) == {"bytecode", "c_call"} | set(
-            CONCURRENT_WORKLOADS
-        )
+        assert set(result.overhead_per_call) == {
+            "bytecode", "c_call", "recorded"
+        } | set(CONCURRENT_WORKLOADS)
         for workload, configs in result.overhead_per_call.items():
-            assert set(configs) == (
-                new_configs if workload in CONCURRENT_WORKLOADS else expected
-            )
+            if workload == "recorded":
+                assert set(configs) == new_configs | {"probe"}
+            else:
+                assert set(configs) == (
+                    new_configs if workload in CONCURRENT_WORKLOADS
+                    else expected
+                )
             assert all(cost >= 0.0 for cost in configs.values())
 
     def test_new_runtime_matches_interpreter(self):
@@ -97,6 +102,36 @@ class TestOverheadBench:
         assert make(limit, 100e-6).meets_target()
         # Threaded over budget fails.
         assert not make(limit * 1.5, 0.0).meets_target()
+
+    def test_recorded_budget_gates_each_config(self):
+        def make(factor: float) -> OverheadBenchResult:
+            return OverheadBenchResult(
+                python="3.x",
+                calls=100,
+                repeats=1,
+                baseline_s={},
+                overhead_per_call={
+                    "recorded": {
+                        config: RECORDED_BUDGET_US[config] * factor * 1e-6
+                        for config in ("settrace", "probe")
+                    }
+                },
+                new_runtime="settrace",
+            )
+
+        assert make(0.9).meets_target()
+        over = make(1.1)
+        assert over.recorded_over_budget() == ["settrace", "probe"]
+        assert not over.meets_target()
+        assert "probe" in render_overhead_bench(over)
+
+    def test_recorded_cost_includes_the_replay(self):
+        # Every call is recorded, so each pays two readings, a replay
+        # share and a record: never free, unlike filtered-out events.
+        result = tiny_run()
+        assert all(
+            cost > 0.0 for cost in result.overhead_per_call["recorded"].values()
+        )
 
     def test_concurrent_workloads_have_no_legacy_speedup(self):
         result = tiny_run()

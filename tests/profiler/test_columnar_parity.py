@@ -29,6 +29,7 @@ from repro.profiler.runtime import (
     OP_CLOSE,
     OP_OPEN,
     materialize_concurrent,
+    snapshot_row,
 )
 from repro.profiler.tracer import EnergyTracer
 from repro.rapl.backends import EnergySnapshot, SimulatedBackend, VirtualClock
@@ -397,7 +398,7 @@ class TestSyntheticReplayParity:
                 final_ok,
                 metadata,
                 lambda payloads: [
-                    p if p is not None else self._snap(0.0)
+                    snapshot_row(p if p is not None else self._snap(0.0))
                     for p in payloads
                 ],
                 {},

@@ -1,5 +1,7 @@
 """Tests for simulated/live backends, the meter, and the perf harness."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.rapl.backends import (
@@ -10,7 +12,7 @@ from repro.rapl.backends import (
     VirtualClock,
     default_backend,
 )
-from repro.rapl.domains import Domain
+from repro.rapl.domains import DOMAINS, Domain
 from repro.rapl.msr import MSR_PKG_ENERGY_STATUS
 from repro.rapl.perf import METRICS, EnergySample, PerfStat
 
@@ -237,7 +239,8 @@ class TestRawSnapshotPath:
 
     def test_simulated_raw_deltas_match_snapshot_deltas(self):
         # Two identical backends driven through the same clock pattern:
-        # one via snapshot(), one via snapshot_raw()+materialize_raw().
+        # one via snapshot(), one via snapshot_raw()+cumulative_raw().
+        # The rows hold exactly the values snapshot() returned.
         full = make_backend()
         raw = make_backend()
         snaps = [full.snapshot()]
@@ -246,21 +249,18 @@ class TestRawSnapshotPath:
             snaps.append(full.snapshot())
         for _ in self._advance_pattern(raw.clock):
             readings.append(raw.snapshot_raw())
-        materialized = raw.materialize_raw(readings)
-        assert len(materialized) == len(snaps)
-        for i in range(1, len(snaps)):
-            want = snaps[i].delta(snaps[i - 1])
-            got = materialized[i].delta(materialized[i - 1])
-            assert got.wall_seconds == want.wall_seconds
-            assert got.cpu_seconds == want.cpu_seconds
-            for dom in Domain:
-                assert got.joules.get(dom, 0.0) == pytest.approx(
-                    want.joules.get(dom, 0.0), abs=1e-9
-                ), dom
+        rows = raw.cumulative_raw(readings)
+        assert len(rows) == len(snaps)
+        for row, snap in zip(rows, snaps):
+            assert row == (
+                snap.wall_seconds,
+                snap.cpu_seconds,
+                tuple(snap.joules[dom] for dom in DOMAINS),
+            )
 
     def test_simulated_raw_handles_counter_wrap(self):
         # ~50 kJ of virtual work wraps the 32-bit energy register at
-        # least once; materialized deltas must stay positive and match
+        # least once; converted deltas must stay positive and match
         # the wrap-aware snapshot() path.
         full = make_backend()
         raw = make_backend()
@@ -271,12 +271,13 @@ class TestRawSnapshotPath:
             full.clock.advance(5_000.0)
             readings.append(raw.snapshot_raw())
             snaps.append(full.snapshot())
-        materialized = raw.materialize_raw(readings)
+        package = [row[2][DOMAINS.index(Domain.PACKAGE)]
+                   for row in raw.cumulative_raw(readings)]
+        assert min(r[2] for r in readings[1:]) < max(r[2] for r in readings)
         for i in range(1, len(snaps)):
-            got = materialized[i].delta(materialized[i - 1])
             want = snaps[i].delta(snaps[i - 1])
-            assert got.joules[Domain.PACKAGE] > 0
-            assert got.joules[Domain.PACKAGE] == pytest.approx(
+            assert package[i] - package[i - 1] > 0
+            assert package[i] - package[i - 1] == pytest.approx(
                 want.joules[Domain.PACKAGE], rel=1e-9
             )
 
@@ -295,10 +296,12 @@ class TestRawSnapshotPath:
         reading = backend.snapshot_raw()
         (zone / "energy_uj").write_text("4500000\n")
         later = backend.snapshot_raw()
-        first, second = backend.materialize_raw([reading, later])
-        assert first.joules[Domain.PACKAGE] == pytest.approx(2.0)
-        assert second.joules[Domain.PACKAGE] == pytest.approx(4.5)
-        assert second.delta(first).joules[Domain.PACKAGE] == pytest.approx(2.5)
+        first, second = backend.cumulative_raw([reading, later])
+        package = DOMAINS.index(Domain.PACKAGE)
+        assert first[2][package] == pytest.approx(2.0)
+        assert second[2][package] == pytest.approx(4.5)
+        # Domains without a readable zone read zero.
+        assert [j for i, j in enumerate(second[2]) if i != package] == [0.0] * 4
 
     def test_resilient_backend_has_no_raw_path(self):
         # ResilientBackend must keep using full snapshots so retries
@@ -308,3 +311,100 @@ class TestRawSnapshotPath:
 
         wrapped = ResilientBackend(make_backend(), ResiliencePolicy())
         assert not hasattr(wrapped, "snapshot_raw")
+
+
+# -- pinned reading sequence -------------------------------------------
+
+READINGS_GOLDEN = Path(__file__).parent / "backend_readings_golden.json"
+
+
+def _snapshot_entry(snap) -> list:
+    return [
+        "snapshot",
+        snap.wall_seconds,
+        snap.cpu_seconds,
+        [[dom.value, joules] for dom, joules in snap.joules.items()],
+    ]
+
+
+def _drive(backend, steps: int, wall: float, cpu: float) -> list:
+    """Advance the clock and cycle through every read method."""
+    from repro.rapl.msr import MSR_ADDRESSES, MSR_RAPL_POWER_UNIT
+
+    out = []
+    for step in range(steps):
+        backend.clock.advance(wall * (step + 1), cpu * (step % 3))
+        kind = step % 4
+        if kind == 0:
+            out.append(_snapshot_entry(backend.snapshot()))
+        elif kind == 1:
+            out.append(["snapshot_raw", list(backend.snapshot_raw())])
+        elif kind == 2:
+            out.append(["read_raw", [backend.read_raw(d) for d in Domain]])
+        else:
+            addresses = [MSR_RAPL_POWER_UNIT, *MSR_ADDRESSES.values()]
+            out.append(["read_msr", [backend.read_msr(a) for a in addresses]])
+        if step == 5:
+            with backend.intensity_scope(2.5):
+                backend.clock.advance(0.02, 0.015)
+                out.append(["snapshot_raw", list(backend.snapshot_raw())])
+                backend.clock.advance(0.01, 0.01)
+            out.append(_snapshot_entry(backend.snapshot()))
+    return out
+
+
+def backend_reading_sequence() -> dict:
+    """Readings of :class:`SimulatedBackend` in several configurations.
+
+    Pins float values *and* the order the noise/outlier RNG is drawn in:
+    any reordering of the model arithmetic or of the RNG calls changes
+    some entry.
+    """
+    from repro.rapl.msr import MsrFile
+
+    sequences = {}
+    sequences["noise_outliers"] = _drive(
+        make_backend(noise_sigma=0.03, outlier_rate=0.25, outlier_scale=4.0,
+                     seed=11),
+        16, 0.013, 0.006,
+    )
+    sequences["plain"] = _drive(make_backend(), 12, 0.7, 0.3)
+    # Counters a few units short of 2**32 wrap on the first deposits.
+    near_wrap = make_backend()
+    unit = near_wrap.units.energy_joules
+    for i, dom in enumerate(Domain):
+        near_wrap.post_joules(dom, ((1 << 32) - 40 - 7 * i) * unit)
+    sequences["near_wrap"] = _drive(near_wrap, 12, 0.002, 0.001)
+    msr = MsrFile(initial_raw={d: (1 << 32) - 3 - i for i, d in enumerate(Domain)})
+    msr_reads = []
+    for step in range(6):
+        for dom in Domain:
+            msr.deposit_joules(dom, 0.0001 * (step + 1))
+        msr_reads.append([msr.read_domain(dom) for dom in Domain])
+    sequences["msr_initial_raw"] = msr_reads
+    return sequences
+
+
+class TestPinnedReadings:
+    """Every read method reproduces the committed reading sequence.
+
+    Regenerate (only when the readings are meant to change) with
+    ``PYTHONPATH=src python -c "import json, tests.rapl.test_backends as t;
+    t.READINGS_GOLDEN.write_text(json.dumps(t.backend_reading_sequence(),
+    indent=1) + '\\n')"``.
+    """
+
+    def test_matches_golden(self):
+        import json
+
+        got = json.loads(json.dumps(backend_reading_sequence()))
+        assert got == json.loads(READINGS_GOLDEN.read_text())
+
+    def test_golden_exercises_wraps(self):
+        import json
+
+        golden = json.loads(READINGS_GOLDEN.read_text())
+        raws = [c for kind, *rest in golden["near_wrap"]
+                if kind == "read_raw" for c in rest[0]]
+        assert min(raws) < 1000  # counters wrapped past 2**32
+        assert min(golden["msr_initial_raw"][-1]) < 1000
